@@ -274,91 +274,104 @@ let load_auth_secret = function
           | "" -> Error (path ^ " is empty")
           | secret -> Ok (Some secret)))
 
-(* Exit codes (documented in README.md):
+let split_hostport flag s =
+  match String.rindex_opt s ':' with
+  | None -> Error (Printf.sprintf "%s expects HOST:PORT, got %s" flag s)
+  | Some i -> (
+      match
+        int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
+      with
+      | Some p when p > 0 -> Ok (String.sub s 0 i, p)
+      | _ -> Error (Printf.sprintf "%s: bad port in %s" flag s))
+
+(* What a launcher hands [run_daemon] once its daemon is bound. *)
+type daemon = {
+  stop : unit -> unit;  (* async-signal-safe shutdown request *)
+  stats : (unit -> unit) option;  (* SIGUSR1: dump metrics *)
+  banner : string;
+  run : unit -> unit;  (* blocks until drained *)
+}
+
+(* The lifecycle shared by serve, replica and coord.
+   Exit codes (documented in README.md):
      0  clean shutdown (SIGTERM/SIGINT drained)
-     1  startup failure other than the port (e.g. recovery failed)
-     2  port already in use, or an injected fault crashed the server *)
-let run_serve dir port host name max_conns max_frame idle_timeout
-    request_timeout group_commit_window_ms max_inflight queue_depth
-    block_size signing_seed auth_secret_file failpoints =
+     1  startup failure other than the port (bad flags, recovery failed)
+     2  port already in use, or an injected fault crashed the daemon *)
+let run_daemon cmd ~failpoints ?auth_secret_file start =
   List.iter (fun (n, m) -> Fault.set n m) failpoints;
-  match load_auth_secret auth_secret_file with
-  | Error e ->
-      Printf.eprintf "sqlledger serve: --auth-secret: %s\n" e;
-      1
-  | Ok auth_secret -> (
-  let config =
-    {
-      Ledger_server.Server.default_config with
-      host;
-      port;
-      dir;
-      db_name = name;
-      max_connections = max_conns;
-      max_frame;
-      idle_timeout;
-      request_timeout;
-      group_commit_window = group_commit_window_ms /. 1000.0;
-      max_inflight;
-      max_queue_depth = queue_depth;
-      block_size = (if block_size > 0 then Some block_size else None);
-      signing_seed = (if signing_seed = "" then None else Some signing_seed);
-      auth_secret;
-    }
+  let started =
+    match load_auth_secret auth_secret_file with
+    | Error e -> Error (Wire.Listener.Startup ("--auth-secret: " ^ e))
+    | Ok auth_secret -> start auth_secret
   in
-  match Ledger_server.Server.start ~config () with
-  | Error (Ledger_server.Server.Port_in_use msg) ->
-      Printf.eprintf "sqlledger serve: cannot listen on %s\n" msg;
+  match started with
+  | Error (Wire.Listener.Port_in_use msg) ->
+      Printf.eprintf "sqlledger %s: cannot listen on %s\n" cmd msg;
       2
-  | Error (Ledger_server.Server.Startup msg) ->
-      Printf.eprintf "sqlledger serve: %s\n" msg;
+  | Error (Wire.Listener.Startup msg) ->
+      Printf.eprintf "sqlledger %s: %s\n" cmd msg;
       1
-  | Ok srv -> (
+  | Ok d -> (
       Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-      let stop _ = Ledger_server.Server.request_shutdown srv in
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-      Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-      Sys.set_signal Sys.sigusr1
-        (Sys.Signal_handle (fun _ -> Ledger_server.Server.request_stats srv));
-      Printf.printf "sqlledger: serving %s on %s:%d (SIGUSR1 dumps metrics)\n%!"
-        dir host
-        (Ledger_server.Server.port srv);
-      match Ledger_server.Server.run srv with
+      let stop = Sys.Signal_handle (fun _ -> d.stop ()) in
+      Sys.set_signal Sys.sigterm stop;
+      Sys.set_signal Sys.sigint stop;
+      Option.iter
+        (fun f -> Sys.set_signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> f ())))
+        d.stats;
+      Printf.printf "sqlledger: %s\n%!" d.banner;
+      match d.run () with
       | () -> 0
       | exception (Fault.Injected_crash e | Fault.Injected_error e) ->
           Printf.eprintf "fault injected: %s\n" e;
-          2))
+          2)
+
+let run_serve dir port host name max_conns max_frame idle_timeout
+    request_timeout group_commit_window_ms max_inflight queue_depth
+    block_size signing_seed auth_secret_file failpoints =
+  run_daemon "serve" ~failpoints ?auth_secret_file (fun auth_secret ->
+      let module Server = Ledger_server.Server in
+      let config =
+        {
+          Server.default_config with
+          host;
+          port;
+          dir;
+          db_name = name;
+          max_connections = max_conns;
+          max_frame;
+          idle_timeout;
+          request_timeout;
+          group_commit_window = group_commit_window_ms /. 1000.0;
+          max_inflight;
+          max_queue_depth = queue_depth;
+          block_size = (if block_size > 0 then Some block_size else None);
+          signing_seed = (if signing_seed = "" then None else Some signing_seed);
+          auth_secret;
+        }
+      in
+      Result.map
+        (fun srv ->
+          {
+            stop = (fun () -> Server.request_shutdown srv);
+            stats = Some (fun () -> Server.request_stats srv);
+            banner =
+              Printf.sprintf "serving %s on %s:%d (SIGUSR1 dumps metrics)" dir
+                host (Server.port srv);
+            run = (fun () -> Server.run srv);
+          })
+        (Server.start ~config ()))
 
 (* ------------------------------------------------------------------ *)
 (* replica / promote *)
 
-(* Exit codes match serve: 0 clean shutdown, 1 startup failure, 2 port
-   in use or injected fault. *)
 let run_replica dir port host primary idle_timeout request_timeout
     auth_secret_file failpoints =
-  List.iter (fun (n, m) -> Fault.set n m) failpoints;
-  match load_auth_secret auth_secret_file with
-  | Error e ->
-      Printf.eprintf "sqlledger replica: --auth-secret: %s\n" e;
-      1
-  | Ok auth_secret -> (
-  match String.rindex_opt primary ':' with
-  | None ->
-      Printf.eprintf "sqlledger replica: --primary expects HOST:PORT, got %s\n"
-        primary;
-      1
-  | Some i -> (
-      let primary_host = String.sub primary 0 i in
-      let primary_port =
-        int_of_string_opt
-          (String.sub primary (i + 1) (String.length primary - i - 1))
-      in
-      match primary_port with
-      | None ->
-          Printf.eprintf "sqlledger replica: bad port in --primary %s\n"
-            primary;
-          1
-      | Some primary_port -> (
+  run_daemon "replica" ~failpoints ?auth_secret_file (fun auth_secret ->
+      let module Node = Ledger_server.Replica_node in
+      match split_hostport "--primary" primary with
+      | Error e -> Error (Wire.Listener.Startup e)
+      | Ok (primary_host, primary_port) ->
           let config =
             {
               Ledger_server.Server.default_config with
@@ -370,106 +383,58 @@ let run_replica dir port host primary idle_timeout request_timeout
               auth_secret;
             }
           in
-          match
-            Ledger_server.Replica_node.start ~config ~primary_host
-              ~primary_port ()
-          with
-          | Error (Ledger_server.Server.Port_in_use msg) ->
-              Printf.eprintf "sqlledger replica: cannot listen on %s\n" msg;
-              2
-          | Error (Ledger_server.Server.Startup msg) ->
-              Printf.eprintf "sqlledger replica: %s\n" msg;
-              1
-          | Ok node -> (
-              Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-              let stop _ = Ledger_server.Replica_node.request_shutdown node in
-              Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-              Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-              Sys.set_signal Sys.sigusr1
-                (Sys.Signal_handle
-                   (fun _ -> Ledger_server.Replica_node.request_stats node));
-              Printf.printf
-                "sqlledger: replica of %s serving reads from %s on %s:%d \
-                 (SIGUSR1 dumps metrics)\n\
-                 %!"
-                primary dir host
-                (Ledger_server.Replica_node.port node);
-              match Ledger_server.Replica_node.run node with
-              | () -> 0
-              | exception (Fault.Injected_crash e | Fault.Injected_error e) ->
-                  Printf.eprintf "fault injected: %s\n" e;
-                  2))))
+          Result.map
+            (fun node ->
+              {
+                stop = (fun () -> Node.request_shutdown node);
+                stats = Some (fun () -> Node.request_stats node);
+                banner =
+                  Printf.sprintf
+                    "replica of %s serving reads from %s on %s:%d (SIGUSR1 \
+                     dumps metrics)"
+                    primary dir host (Node.port node);
+                run = (fun () -> Node.run node);
+              })
+            (Node.start ~config ~primary_host ~primary_port ()))
 
 (* ------------------------------------------------------------------ *)
 (* coord *)
 
-(* Exit codes match serve: 0 clean shutdown, 1 startup failure, 2 port
-   in use or injected fault. *)
 let run_coord dir port host name shards idle_timeout request_timeout
     auth_secret_file failpoints =
-  List.iter (fun (n, m) -> Fault.set n m) failpoints;
-  match load_auth_secret auth_secret_file with
-  | Error e ->
-      Printf.eprintf "sqlledger coord: --auth-secret: %s\n" e;
-      1
-  | Ok auth_secret -> (
-  let parse_addr a =
-    match String.rindex_opt a ':' with
-    | None -> Error a
-    | Some i -> (
-        match
-          int_of_string_opt (String.sub a (i + 1) (String.length a - i - 1))
-        with
-        | Some p when p > 0 -> Ok (String.sub a 0 i, p)
-        | _ -> Error a)
-  in
-  let parsed = List.map parse_addr shards in
-  match
-    List.find_map (function Error bad -> Some bad | Ok _ -> None) parsed
-  with
-  | Some bad ->
-      Printf.eprintf "sqlledger coord: --shard expects HOST:PORT, got %s\n" bad;
-      1
-  | None -> (
-      let config =
-        {
-          Shard.Coordinator.default_config with
-          host;
-          port;
-          dir;
-          name;
-          idle_timeout;
-          request_timeout;
-          auth_secret;
-        }
-      in
-      match
-        Shard.Coordinator.start ~config
-          ~shards:(List.map Result.get_ok parsed) ()
-      with
-      | Error (Shard.Coordinator.Port_in_use msg) ->
-          Printf.eprintf "sqlledger coord: cannot listen on %s\n" msg;
-          2
-      | Error (Shard.Coordinator.Startup msg) ->
-          Printf.eprintf "sqlledger coord: %s\n" msg;
-          1
-      | Ok coord -> (
-          Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-          let stop _ = Shard.Coordinator.request_shutdown coord in
-          Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-          Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-          let m = Shard.Coordinator.map coord in
-          Printf.printf
-            "sqlledger: coordinating %d shard(s) (map epoch %d) from %s on \
-             %s:%d\n\
-             %!"
-            (Shard.Shard_map.count m) (Shard.Shard_map.epoch m) dir host
-            (Shard.Coordinator.port coord);
-          match Shard.Coordinator.run coord with
-          | () -> 0
-          | exception (Fault.Injected_crash e | Fault.Injected_error e) ->
-              Printf.eprintf "fault injected: %s\n" e;
-              2)))
+  run_daemon "coord" ~failpoints ?auth_secret_file (fun auth_secret ->
+      let module Coordinator = Shard.Coordinator in
+      let parsed = List.map (split_hostport "--shard") shards in
+      match List.find_map (function Error e -> Some e | Ok _ -> None) parsed with
+      | Some e -> Error (Wire.Listener.Startup e)
+      | None ->
+          let config =
+            {
+              Coordinator.default_config with
+              host;
+              port;
+              dir;
+              name;
+              idle_timeout;
+              request_timeout;
+              auth_secret;
+            }
+          in
+          Result.map
+            (fun coord ->
+              let m = Coordinator.map coord in
+              {
+                stop = (fun () -> Coordinator.request_shutdown coord);
+                stats = None;
+                banner =
+                  Printf.sprintf
+                    "coordinating %d shard(s) (map epoch %d) from %s on %s:%d"
+                    (Shard.Shard_map.count m) (Shard.Shard_map.epoch m) dir host
+                    (Coordinator.port coord);
+                run = (fun () -> Coordinator.run coord);
+              })
+            (Coordinator.start ~config
+               ~shards:(List.map Result.get_ok parsed) ()))
 
 let run_promote dir =
   match Repl.Client.promote_dir ~dir () with
@@ -490,16 +455,6 @@ let run_promote dir =
 
 (* ------------------------------------------------------------------ *)
 (* audit *)
-
-let split_hostport flag s =
-  match String.rindex_opt s ':' with
-  | None -> Error (Printf.sprintf "%s expects HOST:PORT, got %s" flag s)
-  | Some i -> (
-      match
-        int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-      with
-      | Some p when p > 0 -> Ok (String.sub s 0 i, p)
-      | _ -> Error (Printf.sprintf "%s: bad port in %s" flag s))
 
 (* Offline one-shot audit of a stopped (or copied) data directory: full
    verify when no mark is persisted yet, incremental from the mark
@@ -1333,6 +1288,16 @@ let auth_secret_arg =
            $(b,auth_failed) error. Without this flag, principal claims are \
            refused and sessions stay anonymous.")
 
+(* The session-runtime flags of every listening daemon. *)
+let idle_timeout_arg ~doc =
+  Arg.(value & opt float 60.0 & info [ "idle-timeout" ] ~docv:"SECONDS" ~doc)
+
+let request_timeout_arg =
+  Arg.(
+    value & opt float 30.0
+    & info [ "request-timeout" ] ~docv:"SECONDS"
+        ~doc:"Tear a connection stalled mid-frame after this long; 0 disables.")
+
 let port_arg ~doc =
   Arg.(value & opt int 7878 & info [ "port"; "p" ] ~docv:"PORT" ~doc)
 
@@ -1361,21 +1326,6 @@ let serve_cmd =
       value
       & opt int Wire.Frame.default_max_frame
       & info [ "max-frame" ] ~docv:"BYTES" ~doc:"Maximum request frame size")
-  in
-  let idle_timeout =
-    Arg.(
-      value & opt float 60.0
-      & info [ "idle-timeout" ] ~docv:"SECONDS"
-          ~doc:
-            "Disconnect a session (rolling back its open transaction) after \
-             this long without a request; 0 disables.")
-  in
-  let request_timeout =
-    Arg.(
-      value & opt float 30.0
-      & info [ "request-timeout" ] ~docv:"SECONDS"
-          ~doc:"Tear a connection stalled mid-frame after this long; 0 \
-                disables.")
   in
   let group_commit_window =
     Arg.(
@@ -1436,8 +1386,12 @@ let serve_cmd =
     Term.(
       const run_serve $ dir
       $ port_arg ~doc:"TCP port to listen on"
-      $ host_arg $ db_name $ max_conns $ max_frame $ idle_timeout
-      $ request_timeout $ group_commit_window $ max_inflight $ queue_depth
+      $ host_arg $ db_name $ max_conns $ max_frame
+      $ idle_timeout_arg
+          ~doc:
+            "Disconnect a session (rolling back its open transaction) after \
+             this long without a request; 0 disables."
+      $ request_timeout_arg $ group_commit_window $ max_inflight $ queue_depth
       $ block_size $ signing_seed $ auth_secret_arg $ failpoint_arg)
 
 let replica_cmd =
@@ -1458,19 +1412,6 @@ let replica_cmd =
       & info [ "primary" ] ~docv:"HOST:PORT"
           ~doc:"The primary sqlledger server to replicate from.")
   in
-  let idle_timeout =
-    Arg.(
-      value & opt float 60.0
-      & info [ "idle-timeout" ] ~docv:"SECONDS"
-          ~doc:"Disconnect an idle read session after this long; 0 disables.")
-  in
-  let request_timeout =
-    Arg.(
-      value & opt float 30.0
-      & info [ "request-timeout" ] ~docv:"SECONDS"
-          ~doc:"Tear a connection stalled mid-frame after this long; 0 \
-                disables.")
-  in
   Cmd.v
     (Cmd.info "replica"
        ~doc:
@@ -1480,8 +1421,10 @@ let replica_cmd =
     Term.(
       const run_replica $ dir
       $ port_arg ~doc:"TCP port to serve read-only clients on"
-      $ host_arg $ primary $ idle_timeout $ request_timeout $ auth_secret_arg
-      $ failpoint_arg)
+      $ host_arg $ primary
+      $ idle_timeout_arg
+          ~doc:"Disconnect an idle read session after this long; 0 disables."
+      $ request_timeout_arg $ auth_secret_arg $ failpoint_arg)
 
 let coord_cmd =
   let dir =
@@ -1507,19 +1450,6 @@ let coord_cmd =
              Required on first start; passing a different topology later \
              bumps the shard-map epoch.")
   in
-  let idle_timeout =
-    Arg.(
-      value & opt float 60.0
-      & info [ "idle-timeout" ] ~docv:"SECONDS"
-          ~doc:"Disconnect an idle session after this long; 0 disables.")
-  in
-  let request_timeout =
-    Arg.(
-      value & opt float 30.0
-      & info [ "request-timeout" ] ~docv:"SECONDS"
-          ~doc:"Tear a connection stalled mid-frame after this long; 0 \
-                disables.")
-  in
   Cmd.v
     (Cmd.info "coord"
        ~doc:
@@ -1529,8 +1459,10 @@ let coord_cmd =
     Term.(
       const run_coord $ dir
       $ port_arg ~doc:"TCP port to listen on"
-      $ host_arg $ name_arg $ shards $ idle_timeout $ request_timeout
-      $ auth_secret_arg $ failpoint_arg)
+      $ host_arg $ name_arg $ shards
+      $ idle_timeout_arg
+          ~doc:"Disconnect an idle session after this long; 0 disables."
+      $ request_timeout_arg $ auth_secret_arg $ failpoint_arg)
 
 let promote_cmd =
   let dir =

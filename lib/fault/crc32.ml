@@ -2,23 +2,22 @@
    WAL records and snapshot containers. Streaming API so callers can hash a
    record spread across several pieces without concatenating them. *)
 
+(* Built when the module loads, so no thread ever races to build it. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           if Int32.logand !c 1l <> 0l then
-             c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else c := Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        if Int32.logand !c 1l <> 0l then
+          c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+        else c := Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 type t = int32
 
 let init : t = 0xFFFFFFFFl
 
 let update_char (c : t) ch : t =
-  let table = Lazy.force table in
   let idx = Int32.to_int (Int32.logand (Int32.logxor c (Int32.of_int (Char.code ch))) 0xFFl) in
   Int32.logxor table.(idx) (Int32.shift_right_logical c 8)
 

@@ -253,10 +253,7 @@ let db t =
   | Replica_view { get_db; _ } -> (
       match get_db () with Some db -> db | None -> raise Not_synced)
 
-let err code fmt =
-  Printf.ksprintf
-    (fun message -> Protocol.Error_r { code; message; retry_after_ms = None; map_epoch = None })
-    fmt
+let err = Protocol.error
 
 let err_retry code ~retry_after_ms fmt =
   Printf.ksprintf
@@ -763,7 +760,7 @@ let checkpoint t s =
 (* Accept a replication subscriber. Runs under the writer lock: the
    commit queue is flushed, so the log position and (when needed) the
    snapshot are a consistent cut of the database. The session is handed
-   back to the server with a [`Stream] action and never returns to the
+   back to the server with a [`Hand_off] action and never returns to the
    request/response loop. *)
 let subscribe t s ~from_lsn ~replica_id =
   match t.backend with
@@ -801,7 +798,7 @@ let subscribe t s ~from_lsn ~replica_id =
                   ~from_lsn
               in
               ( Protocol.Subscribed { last_lsn = last },
-                `Stream (entry, epoch, from_lsn) )
+                `Hand_off (entry, epoch, from_lsn) )
             else
               (* The requested position predates the in-memory log
                  (compaction or a restart truncated it): ship a full
@@ -812,7 +809,7 @@ let subscribe t s ~from_lsn ~replica_id =
                   ~from_lsn:last
               in
               ( Protocol.Snapshot_r { snapshot = snap; last_lsn = last },
-                `Stream (entry, epoch, last) ))
+                `Hand_off (entry, epoch, last) ))
       with
       | (Fault.Injected_crash _ | Fault.Injected_error _) as e -> raise e
       | Types.Ledger_error e | Failure e ->
@@ -962,69 +959,43 @@ let retry_after_ms t =
 
 let dispatch t s req =
   match req with
-  | Protocol.Hello { version; client; principal; auth } ->
-      if version <> Protocol.version then
-        ( err Protocol.Version_mismatch
-            "protocol version mismatch: client %d, server %d" version
-            Protocol.version,
-          `Close )
-      else begin
-        (* A claimed principal MUST verify; an absent claim keeps the
-           legacy anonymous "client-N" identity, so unauthenticated
-           peers (replication daemons, old clients) still work. The
-           authenticated name is stored bare — it is what the
-           transactions system table, receipts, replicas and 2PC
-           participants all record as the row version's author. *)
-        let auth_result =
-          match principal with
-          | None -> Ok None
-          | Some "" -> Error "principal name must not be empty"
-          | Some p -> (
-              match (t.auth_secret, auth) with
-              | None, _ ->
-                  Error
-                    (Printf.sprintf
-                       "principal %S refused: this server holds no shared \
-                        secret (start it with --auth-secret)"
-                       p)
-              | Some _, None ->
-                  Error
-                    (Printf.sprintf
-                       "principal %S claimed without an auth tag" p)
-              | Some secret, Some tag ->
-                  if Protocol.principal_tag_ok ~secret ~name:p ~tag then
-                    Ok (Some p)
-                  else
-                    Error (Printf.sprintf "invalid auth tag for principal %S" p)
-              )
-        in
-        match auth_result with
-        | Error message ->
-            Metrics.bump t.metrics "auth.failed";
-            (err Protocol.Auth_failed "%s" message, `Close)
-        | Ok verified ->
-            s.s_hello <- true;
-            (match verified with
-            | Some p -> s.s_user <- p
-            | None ->
-                if client <> "" then
-                  s.s_user <- Printf.sprintf "%s-%d" client s.s_id);
-            let database =
-              match t.backend with
-              | Primary _ -> Database.name (db t)
-              | Replica_view { get_db; _ } -> (
-                  match get_db () with
-                  | Some d -> Database.name d
-                  | None -> "(replica syncing)")
-            in
-            ( Protocol.Welcome
-                {
-                  version = Protocol.version;
-                  server = t.server_name;
-                  database;
-                },
-              `Keep )
-      end
+  | Protocol.Hello { version; client; principal; auth } -> (
+      (* A claimed principal MUST verify; an absent claim keeps the
+         legacy anonymous "client-N" identity, so unauthenticated peers
+         (replication daemons, old clients) still work. The authenticated
+         name is stored bare — it is what the transactions system table,
+         receipts, replicas and 2PC participants all record as the row
+         version's author. *)
+      match
+        Protocol.accept_hello ~secret:t.auth_secret ~version ~principal ~auth
+      with
+      | Error (Protocol.Error_r { code = Protocol.Auth_failed; _ } as refusal)
+        ->
+          Metrics.bump t.metrics "auth.failed";
+          (refusal, `Close)
+      | Error refusal -> (refusal, `Close)
+      | Ok verified ->
+          s.s_hello <- true;
+          (match verified with
+          | Some p -> s.s_user <- p
+          | None ->
+              if client <> "" then
+                s.s_user <- Printf.sprintf "%s-%d" client s.s_id);
+          let database =
+            match t.backend with
+            | Primary _ -> Database.name (db t)
+            | Replica_view { get_db; _ } -> (
+                match get_db () with
+                | Some d -> Database.name d
+                | None -> "(replica syncing)")
+          in
+          ( Protocol.Welcome
+              {
+                version = Protocol.version;
+                server = t.server_name;
+                database;
+              },
+            `Keep ))
   | _ when not s.s_hello ->
       (err Protocol.Bad_request "first request must be hello", `Close)
   | req

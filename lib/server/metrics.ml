@@ -40,23 +40,19 @@ type t = {
   high_waters : (string, int ref) Hashtbl.t;
       (* monotone maxima: commit.queue_depth and friends *)
   started : float;
-  mutable conns_opened : int;
-  mutable conns_active : int;
-  mutable conns_rejected : int;
+  connections : unit -> Wire.Listener.counts;  (* the session runtime's *)
   mutable providers : (unit -> string list) list;
       (* extra line sources (replication lag, ...), registration order *)
 }
 
-let create () =
+let create ~connections () =
   {
     m = Mutex.create ();
     table = Hashtbl.create 16;
     counters = Hashtbl.create 8;
     high_waters = Hashtbl.create 8;
     started = Unix.gettimeofday ();
-    conns_opened = 0;
-    conns_active = 0;
-    conns_rejected = 0;
+    connections;
     providers = [];
   }
 
@@ -128,22 +124,6 @@ let high_water t name v =
   if v > !r then r := v;
   Mutex.unlock t.m
 
-let connection_opened t =
-  Mutex.lock t.m;
-  t.conns_opened <- t.conns_opened + 1;
-  t.conns_active <- t.conns_active + 1;
-  Mutex.unlock t.m
-
-let connection_closed t =
-  Mutex.lock t.m;
-  t.conns_active <- t.conns_active - 1;
-  Mutex.unlock t.m
-
-let connection_rejected t =
-  Mutex.lock t.m;
-  t.conns_rejected <- t.conns_rejected + 1;
-  Mutex.unlock t.m
-
 (* Smallest histogram upper bound covering fraction [q] of the samples. *)
 let percentile e q =
   if e.count = 0 then 0.0
@@ -163,13 +143,14 @@ let percentile e q =
   end
 
 let lines t =
+  let conns = t.connections () in
   Mutex.lock t.m;
   let out = ref [] in
   let add fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
   add "sqlledger_uptime_seconds %.1f" (Unix.gettimeofday () -. t.started);
-  add "sqlledger_connections_opened_total %d" t.conns_opened;
-  add "sqlledger_connections_active %d" t.conns_active;
-  add "sqlledger_connections_rejected_total %d" t.conns_rejected;
+  add "sqlledger_connections_opened_total %d" conns.opened;
+  add "sqlledger_connections_active %d" conns.active;
+  add "sqlledger_connections_rejected_total %d" conns.rejected;
   let sorted table =
     Hashtbl.fold (fun k r acc -> (k, !r) :: acc) table []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)

@@ -44,9 +44,7 @@ let start ?(config = Server.default_config) ~primary_host ~primary_port () =
           Ok { client; server; lock })
 
 let client t = t.client
-let server t = t.server
 let port t = Server.port t.server
-let metrics t = Server.metrics t.server
 let request_shutdown t = Server.request_shutdown t.server
 let request_stats t = Server.request_stats t.server
 

@@ -1,21 +1,16 @@
-(* The concurrent ledger server: TCP accept loop, one session thread per
-   connection, request dispatch (writes under the Rwlock discipline,
-   reads against published copy-on-write snapshots — see Dispatch), and
-   a graceful shutdown that drains sessions and fsyncs the WAL.
+(* The concurrent ledger server: request dispatch (writes under the
+   Rwlock discipline, reads against published copy-on-write snapshots —
+   see Dispatch) behind the shared session runtime ({!Wire.Listener}),
+   plus what only a ledger server does: per-request metrics and the
+   SIGUSR1 dump, the replication feed a [Subscribe] hands its session
+   to, and a drain that ends with a commit-queue flush and a WAL fsync.
 
    Lifecycle:
-     start  bind + listen (distinct error for a port already in use),
-            recover the database from --dir via Durable.open_dir
-     run    blocking accept loop; polls with a short select timeout so
-            shutdown/stats requests (set from signal handlers via the
-            atomic flags) are honoured promptly
+     start  recover the database from --dir via Durable.open_dir, then
+            bind (a distinct error for a port already in use)
+     run    blocking accept loop until shutdown is requested
      request_shutdown / request_stats
             async-signal-safe: they only set atomics
-
-   Sessions poll their socket in short slices too, accumulating idle
-   time; an idle session (or the whole server draining) rolls back its
-   open transaction, releases the lock, and closes. A stalled *mid-frame*
-   read is bounded separately by SO_RCVTIMEO (the request timeout).
 
    Failpoints [server.accept], [server.read] and [server.write] make
    torn connections injectable: an injected error tears just that
@@ -25,16 +20,9 @@
 
 open Sql_ledger
 module Frame = Wire.Frame
-module Protocol = Wire.Protocol
+module Listener = Wire.Listener
 
-let point_accept = "server.accept"
-let point_read = "server.read"
-let point_write = "server.write"
-
-let () =
-  Fault.register point_accept;
-  Fault.register point_read;
-  Fault.register point_write
+let failpoints = Listener.failpoints "server"
 
 type config = {
   host : string;
@@ -44,7 +32,7 @@ type config = {
   max_connections : int;
   max_frame : int;
   idle_timeout : float;  (** seconds between requests; 0 = unlimited *)
-  request_timeout : float;  (** seconds mid-frame (SO_RCVTIMEO); 0 = unlimited *)
+  request_timeout : float;  (** seconds for one whole frame; 0 = unlimited *)
   group_commit_window : float;
       (** seconds the commit leader coalesces concurrent auto-commit
           writers into one batched WAL append + fsync; 0 disables group
@@ -92,27 +80,21 @@ let default_config =
 
 type t = {
   cfg : config;
-  lsock : Unix.file_descr;
-  actual_port : int;
+  listener : Listener.t;
   durable : Durable.t option;  (* [None] on a replica read port *)
   repl_mgr : Repl.Manager.t option;  (* primary-side replication registry *)
   disp : Dispatch.t;
   metrics : Metrics.t;
-  stop : bool Atomic.t;
   stats_requested : bool Atomic.t;
-  crash : exn option Atomic.t;
-  sessions : (int, Thread.t) Hashtbl.t;
-  sm : Mutex.t;
-  mutable next_session : int;
 }
 
-type start_error =
+type start_error = Listener.start_error =
   | Port_in_use of string
   | Startup of string
 
-let start_error_to_string = function Port_in_use m | Startup m -> m
+let start_error_to_string = Listener.start_error_to_string
 
-let port t = t.actual_port
+let port t = Listener.port t.listener
 let metrics t = t.metrics
 let durable t = t.durable
 
@@ -120,36 +102,34 @@ let durable t = t.durable
    lands. Must be called while holding the node's writer lock. *)
 let refresh_snapshot t = Dispatch.refresh_snapshot t.disp
 
-let request_shutdown t = Atomic.set t.stop true
+let request_shutdown t = Listener.request_stop t.listener
 let request_stats t = Atomic.set t.stats_requested true
 
-let bind_listen config =
-  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt lsock Unix.SO_REUSEADDR true;
-  let addr =
-    Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port)
+let bind config =
+  Listener.bind
+    {
+      Listener.failpoints;
+      host = config.host;
+      port = config.port;
+      max_connections = config.max_connections;
+      max_frame = config.max_frame;
+      idle_timeout = config.idle_timeout;
+      request_timeout = config.request_timeout;
+    }
+
+let make config listener ?durable ?repl_mgr disp_of =
+  let metrics =
+    Metrics.create ~connections:(fun () -> Listener.counts listener) ()
   in
-  match Unix.bind lsock addr with
-  | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) ->
-      (try Unix.close lsock with Unix.Unix_error _ -> ());
-      Error
-        (Port_in_use
-           (Printf.sprintf "%s:%d: address already in use" config.host
-              config.port))
-  | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close lsock with Unix.Unix_error _ -> ());
-      Error
-        (Startup
-           (Printf.sprintf "cannot bind %s:%d: %s" config.host config.port
-              (Unix.error_message e)))
-  | () ->
-      Unix.listen lsock 64;
-      let actual_port =
-        match Unix.getsockname lsock with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> config.port
-      in
-      Ok (lsock, actual_port)
+  {
+    cfg = config;
+    listener;
+    durable;
+    repl_mgr;
+    disp = disp_of metrics;
+    metrics;
+    stats_requested = Atomic.make false;
+  }
 
 let start ?(config = default_config) () =
   if Repl.Client.is_replica_dir config.dir then
@@ -167,10 +147,9 @@ let start ?(config = default_config) () =
     with
     | Error e -> Error (Startup e)
     | Ok durable -> (
-        match bind_listen config with
+        match bind config with
         | Error e -> Error e
-        | Ok (lsock, actual_port) ->
-            let metrics = Metrics.create () in
+        | Ok listener ->
             let ledger () = Database.ledger (Durable.db durable) in
             (* The replication registry also feeds the §3.6 digest gate:
                digests only cover commits every known replica has acked,
@@ -184,8 +163,6 @@ let start ?(config = default_config) () =
                 ~last_commit_ts:(fun () ->
                   Database_ledger.last_commit_ts (ledger ()))
             in
-            Metrics.register_lines metrics (fun () ->
-                Repl.Manager.lines repl_mgr);
             let store =
               Trusted_store.Worm_store.create
                 ~dir:(Filename.concat config.dir "worm")
@@ -198,131 +175,27 @@ let start ?(config = default_config) () =
                 ~store ()
             in
             Ok
-              {
-                cfg = config;
-                lsock;
-                actual_port;
-                durable = Some durable;
-                repl_mgr = Some repl_mgr;
-                disp =
-                  Dispatch.create
-                    ~group_commit_window:config.group_commit_window
-                    ~max_inflight:config.max_inflight
-                    ~max_queue_depth:config.max_queue_depth
-                    ?auth_secret:config.auth_secret ~repl:repl_mgr ~digests
-                    ~durable ~metrics ~server_name:"sqlledger/1.0" ();
-                metrics;
-                stop = Atomic.make false;
-                stats_requested = Atomic.make false;
-                crash = Atomic.make None;
-                sessions = Hashtbl.create 16;
-                sm = Mutex.create ();
-                next_session = 0;
-              })
+              (make config listener ~durable ~repl_mgr (fun metrics ->
+                   Metrics.register_lines metrics (fun () ->
+                       Repl.Manager.lines repl_mgr);
+                   Dispatch.create
+                     ~group_commit_window:config.group_commit_window
+                     ~max_inflight:config.max_inflight
+                     ~max_queue_depth:config.max_queue_depth
+                     ?auth_secret:config.auth_secret ~repl:repl_mgr ~digests
+                     ~durable ~metrics ~server_name:"sqlledger/1.0" ())))
 
 (* A read-only server over a replica's materialised database: same
-   accept/session machinery, [Dispatch.create_replica] personality, no
-   durable directory of its own (the replication client owns the disk
-   state). The [lock] is shared with the client's apply path. *)
+   session runtime, [Dispatch.create_replica] personality, no durable
+   directory of its own (the replication client owns the disk state).
+   The [lock] is shared with the client's apply path. *)
 let start_replica ?(config = default_config) ~primary ~get_db ~lock () =
-  match bind_listen config with
-  | Error e -> Error e
-  | Ok (lsock, actual_port) ->
-      let metrics = Metrics.create () in
-      Ok
-        {
-          cfg = config;
-          lsock;
-          actual_port;
-          durable = None;
-          repl_mgr = None;
-          disp =
-            Dispatch.create_replica ?auth_secret:config.auth_secret ~lock
-              ~get_db ~primary ~metrics ~server_name:"sqlledger-replica/1.0"
-              ();
-          metrics;
-          stop = Atomic.make false;
-          stats_requested = Atomic.make false;
-          crash = Atomic.make None;
-          sessions = Hashtbl.create 16;
-          sm = Mutex.create ();
-          next_session = 0;
-        }
-
-(* ------------------------------------------------------------------ *)
-(* Sessions *)
-
-(* A fault crash anywhere kills the whole server, like a real crash. *)
-let record_crash t e =
-  Atomic.set t.crash (Some e);
-  Atomic.set t.stop true
-
-let send_response t conn ~id resp =
-  match Frame.send ~point:point_write conn (Protocol.encode_response ~id resp) with
-  | () -> `Sent
-  | exception Fault.Injected_error _ -> `Torn
-  | exception (Fault.Injected_crash _ as e) ->
-      record_crash t e;
-      `Torn
-  | exception (Sys_error _ | Unix.Unix_error _) -> `Torn
-
-let handle_frame t session conn payload =
-  match Protocol.decode_request payload with
-  | Error msg ->
-      send_response t conn ~id:0
-        (Protocol.Error_r
-           { code = Protocol.Bad_request; message = msg; retry_after_ms = None; map_epoch = None })
-  | Ok (id, deadline_ms, _map_epoch, req) -> (
-      (* [_map_epoch]: shard-map routing stamps are a coordinator concern;
-         a plain server (or shard primary reached directly) ignores them. *)
-      let t0 = Unix.gettimeofday () in
-      (* The envelope's budget is relative to *our* clock from the moment
-         the request was decoded — client and server clocks never get
-         compared, only durations travel on the wire. *)
-      let deadline =
-        Option.map (fun ms -> t0 +. (float_of_int ms /. 1000.)) deadline_ms
-      in
-      match Dispatch.handle t.disp session ?deadline req with
-      | exception (Fault.Injected_crash _ as e) ->
-          record_crash t e;
-          `Torn
-      | exception e ->
-          let resp =
-            Protocol.Error_r
-              {
-                code = Protocol.Internal;
-                message = Printexc.to_string e;
-                retry_after_ms = None;
-                map_epoch = None;
-              }
-          in
-          Metrics.record t.metrics ~kind:(Protocol.request_kind req)
-            ~error:true
-            ~us:((Unix.gettimeofday () -. t0) *. 1e6);
-          send_response t conn ~id resp
-      | resp, action -> (
-          Metrics.record t.metrics ~kind:(Protocol.request_kind req)
-            ~error:(Protocol.response_is_error resp)
-            ~us:((Unix.gettimeofday () -. t0) *. 1e6);
-          match send_response t conn ~id resp with
-          | `Sent -> (
-              match action with
-              | `Close -> `Quit
-              | `Keep -> `Sent
-              | `Stream (entry, epoch, from_lsn) ->
-                  `Stream (entry, epoch, from_lsn))
-          | `Torn ->
-              (* A subscriber registered but never saw the accept frame:
-                 mark it disconnected so the lag metrics tell the truth
-                 (it stays in the digest gate, as any known replica
-                 must). *)
-              (match action with
-              | `Stream (entry, epoch, _) ->
-                  Option.iter
-                    (fun mgr -> Repl.Manager.disconnect mgr entry ~epoch)
-                    t.repl_mgr
-              | `Keep | `Close -> ());
-              `Torn))
+  Result.map
+    (fun listener ->
+      make config listener (fun metrics ->
+          Dispatch.create_replica ?auth_secret:config.auth_secret ~lock
+            ~get_db ~primary ~metrics ~server_name:"sqlledger-replica/1.0" ()))
+    (bind config)
 
 (* ------------------------------------------------------------------ *)
 (* Replication feed *)
@@ -364,7 +237,7 @@ let feed_replication t conn entry ~epoch ~from_lsn =
       let closing = ref false in
       (try
          while not !closing do
-           if Atomic.get t.stop then closing := true
+           if Listener.stopping t.listener then closing := true
            else if not (Repl.Manager.current mgr entry ~epoch) then
              (* A newer subscription for the same replica identity has
                 taken the entry over: stand down without touching it. *)
@@ -372,7 +245,7 @@ let feed_replication t conn entry ~epoch ~from_lsn =
            else begin
              (* Drain acks without blocking. *)
              while (not !closing) && Frame.poll conn 0.0 do
-               match Frame.recv ~point:point_read conn with
+               match Frame.recv ~point:failpoints.read conn with
                | Frame.Frame payload -> (
                    match Repl.Stream.decode payload with
                    | Ok (Repl.Stream.Ack { last_lsn; replicated_upto }) ->
@@ -401,7 +274,7 @@ let feed_replication t conn entry ~epoch ~from_lsn =
                  | [] ->
                      let now = Unix.gettimeofday () in
                      if now -. !last_send >= t.cfg.heartbeat_interval then begin
-                       Frame.send ~point:point_write conn
+                       Frame.send ~point:failpoints.write conn
                          (Repl.Stream.encode_heartbeat ~last_lsn:!sent);
                        last_send := now
                      end
@@ -414,7 +287,7 @@ let feed_replication t conn entry ~epoch ~from_lsn =
                        | rs ->
                            let chunk, rest = split_chunk stream_chunk [] rs in
                            let payload = Repl.Stream.encode_batch chunk in
-                           Frame.send ~point:point_write conn payload;
+                           Frame.send ~point:failpoints.write conn payload;
                            Repl.Manager.add_bytes mgr entry
                              (String.length payload);
                            (match List.rev chunk with
@@ -429,191 +302,56 @@ let feed_replication t conn entry ~epoch ~from_lsn =
          done
        with
       | Fault.Injected_error _ | Sys_error _ | Unix.Unix_error _ -> ()
-      | Fault.Injected_crash _ as e -> record_crash t e);
+      | Fault.Injected_crash _ as e -> Listener.crash t.listener e);
       Repl.Manager.disconnect mgr entry ~epoch
   | _ -> ()
 
-(* Some platforms (and some socket emulation layers) reject SO_RCVTIMEO.
-   Probe once on a throwaway socketpair and say so at the first session,
-   instead of silently losing the mid-frame stall bound on every
-   connection. Either way [Frame.recv]'s [read_timeout] below enforces a
-   *total* per-frame deadline with select, which is the stronger
-   guarantee (SO_RCVTIMEO is per-read: a peer dribbling one byte per
-   timeout slice resets it forever); the socket option stays on as a
-   cheap kernel-side backstop where it works. *)
-let rcvtimeo_supported =
-  lazy
-    (let probe () =
-       let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-       let ok =
-         try
-           Unix.setsockopt_float a Unix.SO_RCVTIMEO 1.0;
-           true
-         with Unix.Unix_error _ -> false
-       in
-       (try Unix.close a with Unix.Unix_error _ -> ());
-       (try Unix.close b with Unix.Unix_error _ -> ());
-       ok
-     in
-     let ok = try probe () with Unix.Unix_error _ -> false in
-     if not ok then
-       prerr_endline
-         "sqlledger: SO_RCVTIMEO is not supported here; mid-frame stalls \
-          are bounded by the select-based frame deadline instead";
-     ok)
-
-let session_loop t sid fd =
-  if t.cfg.request_timeout > 0.0 && Lazy.force rcvtimeo_supported then
-    (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.request_timeout
-     with Unix.Unix_error _ -> ());
-  let read_timeout =
-    if t.cfg.request_timeout > 0.0 then Some t.cfg.request_timeout else None
-  in
-  let conn = Frame.of_fd fd in
-  let session = Dispatch.new_session ~id:sid in
-  let idle = ref 0.0 in
-  let slice = 0.2 in
-  let closing = ref false in
-  while not !closing do
-    if Atomic.get t.stop then closing := true
-    else if Frame.poll conn slice then begin
-      idle := 0.0;
-      match
-        Frame.recv ~point:point_read ~max_frame:t.cfg.max_frame ?read_timeout
-          conn
-      with
-      | Frame.Frame payload -> (
-          match handle_frame t session conn payload with
-          | `Sent -> ()
-          | `Quit | `Torn -> closing := true
-          | `Stream (entry, epoch, from_lsn) ->
-              feed_replication t conn entry ~epoch ~from_lsn;
-              closing := true)
-      | Frame.Eof | Frame.Truncated -> closing := true
-      | Frame.Junk bytes ->
-          ignore
-            (send_response t conn ~id:0
-               (Protocol.Error_r
-                  {
-                    code = Protocol.Bad_request;
-                    message =
-                      Printf.sprintf "stream desynchronised (junk %S)" bytes;
-                    retry_after_ms = None;
-                map_epoch = None;
-                  }));
-          closing := true
-      | Frame.Oversized { size; limit } ->
-          ignore
-            (send_response t conn ~id:0
-               (Protocol.Error_r
-                  {
-                    code = Protocol.Too_large;
-                    message =
-                      Printf.sprintf "frame of %d bytes exceeds limit %d" size
-                        limit;
-                    retry_after_ms = None;
-                map_epoch = None;
-                  }));
-          closing := true
-      | exception Fault.Injected_error _ -> closing := true
-      | exception (Fault.Injected_crash _ as e) ->
-          record_crash t e;
-          closing := true
-      | exception Unix.Unix_error _ -> closing := true
-    end
-    else begin
-      idle := !idle +. slice;
-      if t.cfg.idle_timeout > 0.0 && !idle >= t.cfg.idle_timeout then
-        closing := true
-    end
-  done;
-  Dispatch.cleanup t.disp session;
-  Frame.close conn;
-  Metrics.connection_closed t.metrics;
-  Mutex.lock t.sm;
-  Hashtbl.remove t.sessions sid;
-  Mutex.unlock t.sm
-
-let reject_busy t fd =
-  Metrics.connection_rejected t.metrics;
-  let conn = Frame.of_fd fd in
-  (try
-     Frame.send conn
-       (Protocol.encode_response ~id:0
-          (Protocol.Error_r
-             {
-               code = Protocol.Busy;
-               message =
-                 Printf.sprintf "server at its %d-connection limit"
-                   t.cfg.max_connections;
-               retry_after_ms = None;
-                map_epoch = None;
-             }))
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  Frame.close conn
-
-let spawn_session t fd =
-  Mutex.lock t.sm;
-  if Hashtbl.length t.sessions >= t.cfg.max_connections then begin
-    Mutex.unlock t.sm;
-    reject_busy t fd
-  end
-  else begin
-    t.next_session <- t.next_session + 1;
-    let sid = t.next_session in
-    Metrics.connection_opened t.metrics;
-    let th = Thread.create (fun () -> session_loop t sid fd) () in
-    Hashtbl.add t.sessions sid th;
-    Mutex.unlock t.sm
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Accept loop and shutdown *)
+(* Sessions *)
 
-let drain t =
-  (try Unix.close t.lsock with Unix.Unix_error _ -> ());
-  let threads =
-    Mutex.lock t.sm;
-    let l = Hashtbl.fold (fun _ th acc -> th :: acc) t.sessions [] in
-    Mutex.unlock t.sm;
-    l
-  in
-  List.iter Thread.join threads;
-  (* Durability point of the drain: publish any batch still queued, then
-     force everything appended onto disk. (A replica read port owns no
-     durable state; its replication client syncs its own log.) *)
-  Dispatch.flush_queue t.disp;
-  Option.iter
-    (fun durable ->
-      Aries.Wal.sync (Database_ledger.wal (Database.ledger (Durable.db durable))))
-    t.durable
+let handler t =
+  {
+    Listener.open_session = (fun sid -> Dispatch.new_session ~id:sid);
+    handle =
+      (fun session ~deadline ~map_epoch:_ req ->
+        (* Shard-map routing stamps are a coordinator concern; a plain
+           server (or shard primary reached directly) ignores them. *)
+        Dispatch.handle t.disp session ?deadline req);
+    hand_off =
+      (fun _ (entry, epoch, from_lsn) conn ->
+        match (conn, t.repl_mgr) with
+        | Some conn, _ -> feed_replication t conn entry ~epoch ~from_lsn
+        | None, Some mgr ->
+            (* A subscriber registered but never saw the accept frame:
+               mark it disconnected so the lag metrics tell the truth (it
+               stays in the digest gate, as any known replica must). *)
+            Repl.Manager.disconnect mgr entry ~epoch
+        | None, None -> ());
+    close_session = Dispatch.cleanup t.disp;
+    observe =
+      (fun req resp ~us ->
+        Metrics.record t.metrics ~kind:(Wire.Protocol.request_kind req)
+          ~error:(Wire.Protocol.response_is_error resp)
+          ~us);
+  }
 
 let run ?(dump_metrics_to = stderr) t =
-  while not (Atomic.get t.stop) do
-    if Atomic.exchange t.stats_requested false then
-      Metrics.dump t.metrics dump_metrics_to;
-    match Unix.select [ t.lsock ] [] [] 0.2 with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | [], _, _ -> ()
-    | _ -> (
-        match Fault.trip point_accept with
-        | exception Fault.Injected_error _ -> (
-            (* A torn accept: take the connection and drop it. *)
-            match Unix.accept t.lsock with
-            | fd, _ -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-            | exception Unix.Unix_error (_, _, _) -> ())
-        | exception (Fault.Injected_crash _ as e) -> record_crash t e
-        | () -> (
-            match Unix.accept t.lsock with
-            | exception
-                Unix.Unix_error
-                  ((Unix.EINTR | Unix.ECONNABORTED | Unix.EAGAIN), _, _) ->
-                ()
-            | fd, _ -> spawn_session t fd))
-  done;
-  drain t;
-  Metrics.dump t.metrics dump_metrics_to;
-  match Atomic.get t.crash with Some e -> raise e | None -> ()
+  Listener.serve t.listener (handler t)
+    ~tick:(fun () ->
+      if Atomic.exchange t.stats_requested false then
+        Metrics.dump t.metrics dump_metrics_to)
+    ~after_drain:(fun () ->
+      (* Durability point of the drain: publish any batch still queued,
+         then force everything appended onto disk. (A replica read port
+         owns no durable state; its replication client syncs its own
+         log.) *)
+      Dispatch.flush_queue t.disp;
+      Option.iter
+        (fun durable ->
+          Aries.Wal.sync
+            (Database_ledger.wal (Database.ledger (Durable.db durable))))
+        t.durable;
+      Metrics.dump t.metrics dump_metrics_to)
 
 (* Convenience for tests and bench: run in a background thread, stop it
    later with [shutdown]. *)

@@ -30,7 +30,7 @@
 
 module Protocol = Wire.Protocol
 module Client = Wire.Client
-module Frame = Wire.Frame
+module Listener = Wire.Listener
 module Value = Relation.Value
 module Ast = Sqlexec.Ast
 module Aggregate_digest = Trusted_store.Aggregate_digest
@@ -43,6 +43,8 @@ let () =
   Fault.register point_before_decision;
   Fault.register point_after_decision;
   Fault.Fsutil.register_atomic_points state_point_prefix
+
+let failpoints = Listener.failpoints "coord"
 
 type config = {
   host : string;
@@ -86,8 +88,7 @@ type pending = { p_gid : string; mutable p_parts : int list; p_commit : bool }
 
 type t = {
   cfg : config;
-  lsock : Unix.file_descr;
-  actual_port : int;
+  listener : Listener.t;
   mutable map : Shard_map.t;
   schemas : (string, schema) Hashtbl.t;  (* lowercase name -> schema *)
   mu : Mutex.t;  (* map + schemas + state file *)
@@ -98,19 +99,16 @@ type t = {
   store : Trusted_store.Worm_store.t;
   ctr : counters;
   ctr_mu : Mutex.t;
-  stop : bool Atomic.t;
-  crash : exn option Atomic.t;
-  sessions : (int, Thread.t) Hashtbl.t;
-  sm : Mutex.t;
-  mutable next_session : int;
 }
 
-type start_error = Port_in_use of string | Startup of string
+type start_error = Listener.start_error =
+  | Port_in_use of string
+  | Startup of string
 
-let start_error_to_string = function Port_in_use m | Startup m -> m
+let start_error_to_string = Listener.start_error_to_string
 
-let port t = t.actual_port
-let request_shutdown t = Atomic.set t.stop true
+let port t = Listener.port t.listener
+let request_shutdown t = Listener.request_stop t.listener
 
 let map t = Mutex.protect t.mu (fun () -> t.map)
 
@@ -203,30 +201,6 @@ let load_state dir =
 (* ------------------------------------------------------------------ *)
 (* Startup *)
 
-let bind_listen ~host ~port =
-  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt lsock Unix.SO_REUSEADDR true;
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
-  match Unix.bind lsock addr with
-  | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) ->
-      (try Unix.close lsock with Unix.Unix_error _ -> ());
-      Error
-        (Port_in_use (Printf.sprintf "%s:%d: address already in use" host port))
-  | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close lsock with Unix.Unix_error _ -> ());
-      Error
-        (Startup
-           (Printf.sprintf "cannot bind %s:%d: %s" host port
-              (Unix.error_message e)))
-  | () ->
-      Unix.listen lsock 64;
-      let actual_port =
-        match Unix.getsockname lsock with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> port
-      in
-      Ok (lsock, actual_port)
-
 let gid_number gid =
   match String.index_opt gid 'g' with
   | Some 0 -> int_of_string_opt (String.sub gid 1 (String.length gid - 1))
@@ -307,70 +281,76 @@ let start ?(config = default_config) ?(shards = []) () =
                "no shard map: pass --shard HOST:PORT at least once on first \
                 start")
       | Some map -> (
-          let records, dlog =
-            Decision_log.load
-              ~path:(Filename.concat config.dir "coord.dlog")
-          in
-          let undecided, undelivered, next_gid = recover_log records in
-          (* Presumed abort: a Start whose decision never hit the log
-             means the coordinator died inside the prepare round. Decide
-             abort *now*, before serving anything, so the outcome is
-             fixed no matter when the participants are reachable
-             again. *)
-          List.iter
-            (fun (gid, _) ->
-              Decision_log.append dlog
-                (Decision_log.Decision { gid; commit = false }))
-            undecided;
-          let pending =
-            undelivered
-            @ List.map
-                (fun (gid, parts) ->
-                  { p_gid = gid; p_parts = parts; p_commit = false })
-                undecided
-          in
-          match bind_listen ~host:config.host ~port:config.port with
-          | Error e ->
-              Decision_log.close dlog;
-              Error e
-          | Ok (lsock, actual_port) ->
-              let t =
-                {
-                  cfg = config;
-                  lsock;
-                  actual_port;
-                  map;
-                  schemas = Hashtbl.create 16;
-                  mu = Mutex.create ();
-                  dlog;
-                  dlog_mu = Mutex.create ();
-                  next_gid;
-                  pending;
-                  store =
-                    Trusted_store.Worm_store.create
-                      ~dir:(Filename.concat config.dir "worm")
-                      ();
-                  ctr =
-                    {
-                      c_1pc = 0;
-                      c_2pc_commit = 0;
-                      c_2pc_abort = 0;
-                      c_wrong_shard = 0;
-                      c_resolved = 0;
-                    };
-                  ctr_mu = Mutex.create ();
-                  stop = Atomic.make false;
-                  crash = Atomic.make None;
-                  sessions = Hashtbl.create 16;
-                  sm = Mutex.create ();
-                  next_session = 0;
-                }
-              in
+          match
+            Decision_log.load ~path:(Filename.concat config.dir "coord.dlog")
+          with
+          | exception Decision_log.Corrupt e -> Error (Startup e)
+          | records, dlog -> (
+              let undecided, undelivered, next_gid = recover_log records in
+              (* Presumed abort: a Start whose decision never hit the log
+                 means the coordinator died inside the prepare round. Decide
+                 abort *now*, before serving anything, so the outcome is
+                 fixed no matter when the participants are reachable
+                 again. *)
               List.iter
-                (fun (name, sc) -> Hashtbl.replace t.schemas name sc)
-                schemas;
-              Mutex.protect t.mu (fun () -> save_state_locked t);
-              Ok t))
+                (fun (gid, _) ->
+                  Decision_log.append dlog
+                    (Decision_log.Decision { gid; commit = false }))
+                undecided;
+              let pending =
+                undelivered
+                @ List.map
+                    (fun (gid, parts) ->
+                      { p_gid = gid; p_parts = parts; p_commit = false })
+                    undecided
+              in
+              match
+                Listener.bind
+                  {
+                    Listener.failpoints;
+                    host = config.host;
+                    port = config.port;
+                    max_connections = config.max_connections;
+                    max_frame = Wire.Frame.default_max_frame;
+                    idle_timeout = config.idle_timeout;
+                    request_timeout = config.request_timeout;
+                  }
+              with
+              | Error e ->
+                  Decision_log.close dlog;
+                  Error e
+              | Ok listener ->
+                  let t =
+                    {
+                      cfg = config;
+                      listener;
+                      map;
+                      schemas = Hashtbl.create 16;
+                      mu = Mutex.create ();
+                      dlog;
+                      dlog_mu = Mutex.create ();
+                      next_gid;
+                      pending;
+                      store =
+                        Trusted_store.Worm_store.create
+                          ~dir:(Filename.concat config.dir "worm")
+                          ();
+                      ctr =
+                        {
+                          c_1pc = 0;
+                          c_2pc_commit = 0;
+                          c_2pc_abort = 0;
+                          c_wrong_shard = 0;
+                          c_resolved = 0;
+                        };
+                      ctr_mu = Mutex.create ();
+                    }
+                  in
+                  List.iter
+                    (fun (name, sc) -> Hashtbl.replace t.schemas name sc)
+                    schemas;
+                  Mutex.protect t.mu (fun () -> save_state_locked t);
+                  Ok t)))
 
 let bump_epoch t =
   Mutex.protect t.mu (fun () ->
@@ -438,12 +418,7 @@ type session = {
   mutable txn : int list option;  (* shards holding an open BEGIN *)
 }
 
-let err code fmt =
-  Printf.ksprintf
-    (fun message ->
-      Protocol.Error_r
-        { code; message; retry_after_ms = None; map_epoch = None })
-    fmt
+let err = Protocol.error
 
 (* Dedicated per-session shard connections: an explicit transaction lives
    on the connection that opened it (the shard ties txn state to its
@@ -467,11 +442,11 @@ let session_conn t s i =
             (Printf.sprintf "shard %d (%s:%d) unreachable: %s" i host port
                (Client.connect_error_to_string e)))
 
-let scall ?deadline_s t s i req =
+let scall t s i req =
   match session_conn t s i with
   | Error m -> Error m
   | Ok c -> (
-      match Client.call ?deadline_s c req with
+      match Client.call c req with
       | Ok resp -> Ok resp
       | Error m ->
           (* Transport failure: the connection (and any txn state riding
@@ -1204,54 +1179,24 @@ let stats_lines t =
 
 let handle t s ~map_epoch req =
   match req with
-  | Protocol.Hello { version; principal; auth; _ } ->
-      if version <> Protocol.version then
-        ( err Protocol.Version_mismatch
-            "protocol version mismatch: client %d, server %d" version
-            Protocol.version,
-          `Close )
-      else begin
-        (* Same policy as a single node: a claimed principal must verify
-           against the deployment's shared secret; an absent claim stays
-           anonymous. The verified name is replayed on every shard
-           handshake this session makes. *)
-        let auth_result =
-          match principal with
-          | None -> Ok None
-          | Some "" -> Error "principal name must not be empty"
-          | Some p -> (
-              match (t.cfg.auth_secret, auth) with
-              | None, _ ->
-                  Error
-                    (Printf.sprintf
-                       "principal %S refused: this coordinator holds no \
-                        shared secret (start it with --auth-secret)"
-                       p)
-              | Some _, None ->
-                  Error
-                    (Printf.sprintf "principal %S claimed without an auth tag"
-                       p)
-              | Some secret, Some tag ->
-                  if Protocol.principal_tag_ok ~secret ~name:p ~tag then
-                    Ok (Some p)
-                  else
-                    Error
-                      (Printf.sprintf "invalid auth tag for principal %S" p))
-        in
-        match auth_result with
-        | Error message -> (err Protocol.Auth_failed "%s" message, `Close)
-        | Ok verified ->
-            s.greeted <- true;
-            s.principal <- verified;
-            ( Protocol.Welcome
-                {
-                  version = Protocol.version;
-                  server = "sqlledger-coord/1.0";
-                  database =
-                    Printf.sprintf "sharded/%d" (Shard_map.count (map t));
-                },
-              `Keep )
-      end
+  | Protocol.Hello { version; principal; auth; _ } -> (
+      (* Same policy as a single node. The verified name is replayed on
+         every shard handshake this session makes. *)
+      match
+        Protocol.accept_hello ~secret:t.cfg.auth_secret ~version ~principal
+          ~auth
+      with
+      | Error refusal -> (refusal, `Close)
+      | Ok verified ->
+          s.greeted <- true;
+          s.principal <- verified;
+          ( Protocol.Welcome
+              {
+                version = Protocol.version;
+                server = "sqlledger-coord/1.0";
+                database = Printf.sprintf "sharded/%d" (Shard_map.count (map t));
+              },
+            `Keep ))
   | _ when not s.greeted ->
       (err Protocol.Bad_request "the first request must be hello", `Close)
   | Protocol.Ping -> (Protocol.Pong, `Keep)
@@ -1362,16 +1307,7 @@ let handle t s ~map_epoch req =
         `Keep )
 
 (* ------------------------------------------------------------------ *)
-(* Accept loop (mirrors Server's session machinery) *)
-
-let record_crash t e =
-  Atomic.set t.crash (Some e);
-  Atomic.set t.stop true
-
-let send_response conn ~id resp =
-  match Frame.send conn (Protocol.encode_response ~id resp) with
-  | () -> `Sent
-  | exception (Sys_error _ | Unix.Unix_error _) -> `Torn
+(* Sessions, served by Wire.Listener *)
 
 let cleanup_session t s =
   (* An interrupted session must not leave shards holding writer locks:
@@ -1391,103 +1327,35 @@ let cleanup_session t s =
     s.conns;
   Hashtbl.reset s.conns
 
-let session_loop t sid fd =
-  if t.cfg.request_timeout > 0.0 then
-    (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.request_timeout
-     with Unix.Unix_error _ -> ());
-  let read_timeout =
-    if t.cfg.request_timeout > 0.0 then Some t.cfg.request_timeout else None
-  in
-  let conn = Frame.of_fd fd in
-  let s =
-    {
-      sid;
-      greeted = false;
-      principal = None;
-      conns = Hashtbl.create 4;
-      txn = None;
-    }
-  in
-  let idle = ref 0.0 in
-  let slice = 0.2 in
-  let closing = ref false in
-  while not !closing do
-    if Atomic.get t.stop then closing := true
-    else if Frame.poll conn slice then begin
-      idle := 0.0;
-      match Frame.recv ?read_timeout conn with
-      | Frame.Frame payload -> (
-          match Protocol.decode_request payload with
-          | Error msg -> (
-              match
-                send_response conn ~id:0
-                  (err Protocol.Bad_request "%s" msg)
-              with
-              | `Sent -> ()
-              | `Torn -> closing := true)
-          | Ok (id, _deadline_ms, map_epoch, req) -> (
-              match handle t s ~map_epoch req with
-              | exception (Fault.Injected_crash _ as e) ->
-                  record_crash t e;
-                  closing := true
-              | exception e -> (
-                  match
-                    send_response conn ~id
-                      (err Protocol.Internal "%s" (Printexc.to_string e))
-                  with
-                  | `Sent -> ()
-                  | `Torn -> closing := true)
-              | resp, action -> (
-                  match (send_response conn ~id resp, action) with
-                  | `Sent, `Keep -> ()
-                  | `Sent, `Close | `Torn, _ -> closing := true)))
-      | Frame.Eof | Frame.Truncated -> closing := true
-      | Frame.Junk _ | Frame.Oversized _ -> closing := true
-      | exception Unix.Unix_error _ -> closing := true
-    end
-    else begin
-      idle := !idle +. slice;
-      if t.cfg.idle_timeout > 0.0 && !idle >= t.cfg.idle_timeout then
-        closing := true
-    end
-  done;
-  cleanup_session t s;
-  Frame.close conn;
-  Mutex.lock t.sm;
-  Hashtbl.remove t.sessions sid;
-  Mutex.unlock t.sm
-
-let spawn_session t fd =
-  Mutex.lock t.sm;
-  if Hashtbl.length t.sessions >= t.cfg.max_connections then begin
-    Mutex.unlock t.sm;
-    let conn = Frame.of_fd fd in
-    (try
-       Frame.send conn
-         (Protocol.encode_response ~id:0
-            (err Protocol.Busy "coordinator at its %d-connection limit"
-               t.cfg.max_connections))
-     with Sys_error _ | Unix.Unix_error _ -> ());
-    Frame.close conn
-  end
-  else begin
-    t.next_session <- t.next_session + 1;
-    let sid = t.next_session in
-    let th = Thread.create (fun () -> session_loop t sid fd) () in
-    Hashtbl.add t.sessions sid th;
-    Mutex.unlock t.sm
-  end
-
-let drain t =
-  (try Unix.close t.lsock with Unix.Unix_error _ -> ());
-  let threads =
-    Mutex.lock t.sm;
-    let l = Hashtbl.fold (fun _ th acc -> th :: acc) t.sessions [] in
-    Mutex.unlock t.sm;
-    l
-  in
-  List.iter Thread.join threads;
-  Decision_log.close t.dlog
+let handler t =
+  {
+    Listener.open_session =
+      (fun sid ->
+        {
+          sid;
+          greeted = false;
+          principal = None;
+          conns = Hashtbl.create 4;
+          txn = None;
+        });
+    handle =
+      (fun s ~deadline ~map_epoch req ->
+        (* The envelope's deadline is checked once, before any shard is
+           asked. Shard calls carry no budget: a call cut short on our
+           side would still run on the shard, and a prepare or an
+           in-transaction statement abandoned that way outlives the
+           coordinator's view of it. *)
+        match deadline with
+        | Some at when Unix.gettimeofday () >= at ->
+            ( err Protocol.Deadline_exceeded
+                "request deadline expired before the coordinator began; no \
+                 work was done",
+              `Keep )
+        | _ -> handle t s ~map_epoch req);
+    hand_off = (fun _ () _ -> ());
+    close_session = cleanup_session t;
+    observe = (fun _ _ ~us:_ -> ());
+  }
 
 let run t =
   (* Background resolver: keep re-sending undelivered decisions until
@@ -1496,7 +1364,7 @@ let run t =
   let resolver =
     Thread.create
       (fun () ->
-        while not (Atomic.get t.stop) do
+        while not (Listener.stopping t.listener) do
           (try
              if resolve_pending t > 0 then Thread.delay 0.3
              else Thread.delay 1.0
@@ -1504,24 +1372,6 @@ let run t =
         done)
       ()
   in
-  while not (Atomic.get t.stop) do
-    match Unix.select [ t.lsock ] [] [] 0.2 with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | [], _, _ -> ()
-    | _ -> (
-        match Unix.accept t.lsock with
-        | exception
-            Unix.Unix_error
-              ((Unix.EINTR | Unix.ECONNABORTED | Unix.EAGAIN), _, _) ->
-            ()
-        | fd, _ -> spawn_session t fd)
-  done;
-  Thread.join resolver;
-  drain t;
-  match Atomic.get t.crash with Some e -> raise e | None -> ()
-
-let run_async t = Thread.create (fun () -> try run t with _ -> ()) ()
-
-let shutdown t th =
-  request_shutdown t;
-  Thread.join th
+  Listener.serve t.listener (handler t) ~after_drain:(fun () ->
+      Thread.join resolver;
+      Decision_log.close t.dlog)

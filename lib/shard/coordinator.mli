@@ -21,7 +21,9 @@ val default_config : config
 
 type t
 
-type start_error = Port_in_use of string | Startup of string
+type start_error = Wire.Listener.start_error =
+  | Port_in_use of string
+  | Startup of string
 
 val start_error_to_string : start_error -> string
 
@@ -29,7 +31,8 @@ val start :
   ?config:config -> ?shards:(string * int) list -> unit -> (t, start_error) result
 (** Recover coordinator state from [config.dir] (shard map, schema
     registry, decision log — presumed-aborting any transaction whose
-    decision never hit the log) and bind the listen socket. [shards]
+    decision never hit the log; [Startup] if the log is damaged mid-file)
+    and bind the listen socket. [shards]
     seeds the map on first start; passing a different topology later
     bumps the map epoch. *)
 
@@ -44,17 +47,13 @@ val bump_epoch : t -> int
 val pending_decisions : t -> (string * int list * bool) list
 (** Undelivered 2PC decisions: (gid, shards still owed, commit?). *)
 
-val resolve_pending : t -> int
-(** One synchronous re-delivery pass; returns how many decisions remain
-    undelivered. [run] also does this continuously in the background. *)
-
 val run : t -> unit
-(** Blocking accept loop; returns after {!request_shutdown} (re-raising a
-    failpoint-injected crash, as a real coordinator death would). *)
+(** Serve clients through {!Wire.Listener} (failpoints [coord.accept],
+    [coord.read], [coord.write]) until {!request_shutdown}; then close
+    the decision log, re-raising a failpoint-injected crash as a real
+    coordinator death would. *)
 
-val run_async : t -> Thread.t
 val request_shutdown : t -> unit
-val shutdown : t -> Thread.t -> unit
 
 val point_before_decision : string
 (** Failpoint tripped after every PREPARE is collected but before the

@@ -21,8 +21,11 @@
 
    with [crc] the CRC-32 of [json] in %08lx and [len] its byte length.
    A torn tail — short line, bad CRC, missing newline — is truncated on
-   load, exactly like a torn WAL append: the record never happened.
-   Appends route through the ["coord.dlog"] failpoint so tests can tear
+   load, exactly like a torn WAL append: the record never happened. A
+   damaged frame followed by another non-blank line is not a torn tail
+   but mid-file corruption (the WAL's rule): load refuses it and leaves
+   the file untouched, since truncating there would forget fsynced
+   decisions. Appends route through the ["coord.dlog"] failpoint so tests can tear
    a record mid-bytes or kill the coordinator at the append. *)
 
 type record =
@@ -81,59 +84,67 @@ let frame json =
     (String.length json) json
 
 (* ------------------------------------------------------------------ *)
-(* Load: parse frames, stop (and truncate) at the first damage. *)
+(* Load: parse frames up to the first damage. *)
+
+exception Corrupt of string
+
+(* One frame without its newline; [None] when it is damaged. *)
+let parse_frame line =
+  try
+    let sp1 = String.index line ' ' in
+    let sp2 = String.index_from line (sp1 + 1) ' ' in
+    let json = String.sub line (sp2 + 1) (String.length line - sp2 - 1) in
+    if
+      line.[0] = '#'
+      && int_of_string (String.sub line (sp1 + 1) (sp2 - sp1 - 1))
+         = String.length json
+      && Int32.of_string ("0x" ^ String.sub line 1 (sp1 - 1))
+         = Fault.Crc32.string json
+    then Some (record_of_json (Sjson.of_string json))
+    else None
+  with Not_found | Failure _ | Invalid_argument _ | Sjson.Parse_error _ -> None
+
+(* The records before the first damaged or unterminated line, the length
+   of that clean prefix, and whether a non-blank line follows the damage
+   (mid-file corruption rather than a torn tail). *)
+let scan contents =
+  let n = String.length contents in
+  let rec go pos acc =
+    match String.index_from_opt contents pos '\n' with
+    | None -> (List.rev acc, pos, false)
+    | Some nl -> (
+        match parse_frame (String.sub contents pos (nl - pos)) with
+        | Some r -> go (nl + 1) (r :: acc)
+        | None ->
+            let rest = String.sub contents nl (n - nl) in
+            (List.rev acc, pos, String.trim rest <> ""))
+  in
+  go 0 []
 
 let parse_all contents =
-  let n = String.length contents in
-  let records = ref [] in
-  let pos = ref 0 in
-  let good = ref 0 in
-  (try
-     while !pos < n do
-       let start = !pos in
-       if contents.[start] <> '#' then raise Exit;
-       (* "#%08lx %d " header: find the two spaces. *)
-       let sp1 = String.index_from contents start ' ' in
-       let sp2 = String.index_from contents (sp1 + 1) ' ' in
-       let crc_hex = String.sub contents (start + 1) (sp1 - start - 1) in
-       let len = int_of_string (String.sub contents (sp1 + 1) (sp2 - sp1 - 1)) in
-       if len < 0 || sp2 + 1 + len >= n + 1 then raise Exit;
-       if sp2 + 1 + len + 1 > n then raise Exit;
-       let json = String.sub contents (sp2 + 1) len in
-       if contents.[sp2 + 1 + len] <> '\n' then raise Exit;
-       let crc = Int32.of_string ("0x" ^ crc_hex) in
-       if crc <> Fault.Crc32.string json then raise Exit;
-       let record = record_of_json (Sjson.of_string json) in
-       records := record :: !records;
-       pos := sp2 + 1 + len + 1;
-       good := !pos
-     done
-   with
-  | Exit | Not_found | Failure _ | Invalid_argument _ | Sjson.Parse_error _ ->
-      ());
-  (List.rev !records, !good)
+  let records, good, _ = scan contents in
+  (records, good)
 
-type t = { path : string; mutable oc : out_channel }
-
-let path t = t.path
+type t = { oc : out_channel }
 
 let load ~path =
   Fault.Fsutil.mkdir_p (Filename.dirname path);
   let contents =
-    if Sys.file_exists path then (
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s)
-    else ""
+    if not (Sys.file_exists path) then ""
+    else In_channel.with_open_bin path In_channel.input_all
   in
-  let records, good = parse_all contents in
-  if good < String.length contents then
-    (* Torn tail: the partial record never happened. *)
-    Unix.truncate path good;
+  let records, good, corrupt = scan contents in
+  if corrupt then
+    raise
+      (Corrupt
+         (Printf.sprintf
+            "%s: corrupt decision-log record at byte %d of %d (more records \
+             follow it); refusing to truncate logged 2PC outcomes"
+            path good (String.length contents)));
+  (* A torn tail: the partial record never happened. *)
+  if good < String.length contents then Unix.truncate path good;
   let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
-  (records, { path; oc })
+  (records, { oc })
 
 (* [End] is an optimisation (it only prunes recovery work), so it may
    ride on the OS buffer; [Start] and [Decision] are correctness points

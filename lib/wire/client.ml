@@ -109,18 +109,11 @@ let call ?deadline_s ?map_epoch t req =
   | exception Unix.Unix_error (err, _, _) ->
       Error ("send failed: " ^ Unix.error_message err)
   | () -> (
-      let receive () =
-        match deadline_at with
-        | None -> Frame.recv t.conn
-        | Some at ->
-            let remaining = at -. Unix.gettimeofday () in
-            if remaining <= 0. || not (Frame.poll t.conn remaining) then
-              raise (Unix.Unix_error (Unix.ETIMEDOUT, "Client.call", ""))
-            else
-              Frame.recv ~read_timeout:(Float.max 0.01 (at -. Unix.gettimeofday ()))
-                t.conn
+      (* The whole response, first byte included, within the budget. *)
+      let read_timeout =
+        Option.map (fun at -> at -. Unix.gettimeofday ()) deadline_at
       in
-      match receive () with
+      match Frame.recv ?read_timeout t.conn with
       | exception Unix.Unix_error (Unix.ETIMEDOUT, _, _) ->
           Error "deadline exceeded waiting for the response"
       | exception Unix.Unix_error (err, _, _) ->

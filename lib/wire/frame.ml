@@ -114,14 +114,8 @@ let refill_by c deadline =
   | None -> ()
   | Some at ->
       let remaining = at -. Unix.gettimeofday () in
-      if
-        remaining <= 0.
-        || not
-             (match Unix.select [ c.fd ] [] [] remaining with
-             | [], _, _ -> false
-             | _ -> true
-             | exception Unix.Unix_error (Unix.EINTR, _, _) -> false)
-      then raise (Unix.Unix_error (Unix.ETIMEDOUT, "Frame.recv", "")));
+      if remaining <= 0. || not (poll c remaining) then
+        raise (Unix.Unix_error (Unix.ETIMEDOUT, "Frame.recv", "")));
   refill c
 
 (* Read exactly [n] bytes; [Error got] reports how many arrived before

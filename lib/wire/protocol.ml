@@ -326,6 +326,37 @@ type response =
           (** for [Wrong_shard]: the server's current shard-map epoch *)
     }
 
+(* An error reply with no retry hint and no map epoch. *)
+let error code fmt =
+  Printf.ksprintf
+    (fun message -> Error_r { code; message; retry_after_ms = None; map_epoch = None })
+    fmt
+
+(* What every endpoint checks in a hello before it welcomes the client:
+   the protocol version, then the principal claim, which must verify
+   against the deployment's shared [secret]. [Ok] carries the verified
+   principal ([None] stays anonymous); [Error] is the refusal to send
+   before hanging up. *)
+let accept_hello ~secret ~version:v ~principal ~auth =
+  let refuse fmt = Printf.ksprintf (fun m -> Error (error Auth_failed "%s" m)) fmt in
+  if v <> version then
+    Error
+      (error Version_mismatch "protocol version mismatch: client %d, server %d"
+         v version)
+  else
+    match (principal, secret, auth) with
+    | None, _, _ -> Ok None
+    | Some "", _, _ -> refuse "principal name must not be empty"
+    | Some p, None, _ ->
+        refuse
+          "principal %S refused: this server holds no shared secret (start \
+           it with --auth-secret)"
+          p
+    | Some p, Some _, None -> refuse "principal %S claimed without an auth tag" p
+    | Some p, Some secret, Some tag ->
+        if principal_tag_ok ~secret ~name:p ~tag then Ok (Some p)
+        else refuse "invalid auth tag for principal %S" p
+
 let response_is_error = function Error_r _ -> true | _ -> false
 
 let response_kind = function

@@ -125,6 +125,38 @@ let raw_call conn req =
 
 (* ------------------------------------------------------------------ *)
 
+(* Thirty-two clients say hello at once to a server that has served
+   nothing yet, and every handshake must succeed. It runs first in this
+   executable so that these are the process's first sessions: a lazily
+   initialised global forced by each new session thread would race
+   here and kill some of them. *)
+let test_first_hellos () =
+  with_server (fun ~dir:_ ~port _srv ->
+      let go = Atomic.make false in
+      let results = Array.make 32 (Error "not run") in
+      let hello i =
+        while not (Atomic.get go) do
+          Thread.yield ()
+        done;
+        results.(i) <-
+          (match
+             Client.connect ~hello_timeout_s:10.0 ~host:"127.0.0.1" ~port ()
+           with
+          | Ok c ->
+              Client.close c;
+              Ok ()
+          | Error e -> Error (Client.connect_error_to_string e))
+      in
+      let threads = List.init 32 (Thread.create hello) in
+      Atomic.set go true;
+      List.iter Thread.join threads;
+      Array.iteri
+        (fun i r ->
+          match r with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "hello %d failed: %s" i e)
+        results)
+
 let test_e2e_flow () =
   with_server (fun ~dir:_ ~port _srv ->
       let c = connect port in
@@ -831,6 +863,8 @@ let () =
     [
       ( "sessions",
         [
+          Alcotest.test_case "32 concurrent first hellos" `Quick
+            test_first_hellos;
           Alcotest.test_case "end-to-end ledger flow" `Quick test_e2e_flow;
           Alcotest.test_case "concurrent sessions" `Quick
             test_concurrent_sessions;

@@ -298,6 +298,134 @@ let test_dlog_torn_tail () =
   Decision_log.close t;
   Alcotest.(check int) "append after truncation" 5 (List.length records)
 
+(* A flipped byte in the first of four fsynced records is mid-file
+   corruption, not a torn tail: load refuses it, names the byte offset
+   and leaves the file as it was, and the coordinator does not start
+   over it (truncating would forget the two commit decisions). *)
+let test_dlog_mid_file_damage () =
+  let dir = temp_dir "-coord" in
+  let path = Filename.concat dir "coord.dlog" in
+  let _, t = Decision_log.load ~path in
+  List.iter (Decision_log.append t)
+    [
+      Decision_log.Start { gid = "g1"; participants = [ 0; 1 ] };
+      Decision_log.Start { gid = "g2"; participants = [ 0; 1 ] };
+      Decision_log.Decision { gid = "g1"; commit = true };
+      Decision_log.Decision { gid = "g2"; commit = true };
+    ];
+  Decision_log.close t;
+  let damaged =
+    let b =
+      Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
+    in
+    Bytes.set b 20 (if Bytes.get b 20 = 'x' then 'y' else 'x');
+    Bytes.to_string b
+  in
+  Out_channel.with_open_bin path (fun oc -> output_string oc damaged);
+  (match Decision_log.load ~path with
+  | _ -> Alcotest.fail "a damaged first record loaded"
+  | exception Decision_log.Corrupt msg ->
+      let needle = "at byte 0 of" in
+      Alcotest.(check bool) ("names the offset: " ^ msg) true
+        (List.exists
+           (fun i -> String.sub msg i (String.length needle) = needle)
+           (List.init (String.length msg - String.length needle + 1) Fun.id)));
+  Alcotest.(check string) "file untouched" damaged
+    (In_channel.with_open_bin path In_channel.input_all);
+  match
+    Coordinator.start
+      ~config:{ Coordinator.default_config with port = 0; dir }
+      ~shards:[ ("127.0.0.1", 1) ]
+      ()
+  with
+  | Error (Coordinator.Startup _) -> ()
+  | Error (Coordinator.Port_in_use m) -> Alcotest.fail m
+  | Ok c ->
+      Coordinator.request_shutdown c;
+      Coordinator.run c;
+      Alcotest.fail "the coordinator started over a corrupt decision log"
+
+(* ------------------------------------------------------------------ *)
+(* Protocol hygiene: the coordinator answers like a server *)
+
+(* A coordinator in front of a shard that is never dialled: these
+   frames are refused before any routing. *)
+let with_bare_coord f =
+  let coord, th, _, port =
+    start_coord ~shards:[ ("127.0.0.1", 1) ] (temp_dir "-coord")
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Coordinator.request_shutdown coord;
+      Thread.join th)
+    (fun () ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      let conn = Wire.Frame.of_fd fd in
+      Fun.protect ~finally:(fun () -> Wire.Frame.close conn) (fun () ->
+          f fd conn))
+
+let expect_typed_close what code conn =
+  (match Wire.Frame.recv conn with
+  | Wire.Frame.Frame payload -> (
+      match Protocol.decode_response payload with
+      | Ok (_, Protocol.Error_r { code = c; _ }) when c = code -> ()
+      | Ok (_, r) ->
+          Alcotest.fail (what ^ " answered with " ^ Protocol.response_kind r)
+      | Error e -> Alcotest.fail ("malformed error response: " ^ e))
+  | _ -> Alcotest.fail (what ^ " must be answered with a typed error"));
+  match Wire.Frame.recv conn with
+  | Wire.Frame.Eof -> ()
+  | _ -> Alcotest.fail (what ^ ": the connection must close")
+
+let test_coord_junk () =
+  with_bare_coord (fun fd conn ->
+      let junk = "\x00\x01\x02\x03garbage" in
+      ignore (Unix.write_substring fd junk 0 (String.length junk));
+      expect_typed_close "junk" Protocol.Bad_request conn)
+
+let test_coord_oversized () =
+  with_bare_coord (fun fd conn ->
+      (* A header announcing one byte more than the frame limit. *)
+      let len = Wire.Frame.default_max_frame + 1 in
+      let header =
+        Wire.Frame.magic
+        ^ String.init 4 (fun i -> Char.chr ((len lsr (8 * (3 - i))) land 0xff))
+      in
+      ignore (Unix.write_substring fd header 0 (String.length header));
+      expect_typed_close "oversized header" Protocol.Too_large conn)
+
+(* A budget spent on arrival is refused before any shard is asked: the
+   digest would otherwise fan out to the unreachable shard. *)
+let test_coord_spent_deadline () =
+  with_bare_coord (fun _ conn ->
+      let call ?deadline_ms id req =
+        Wire.Frame.send conn (Protocol.encode_request ~id ?deadline_ms req);
+        match Wire.Frame.recv conn with
+        | Wire.Frame.Frame payload -> (
+            match Protocol.decode_response payload with
+            | Ok (_, r) -> r
+            | Error e -> Alcotest.fail ("malformed response: " ^ e))
+        | _ -> Alcotest.fail "no reply"
+      in
+      (match
+         call 1
+           (Protocol.Hello
+              {
+                version = Protocol.version;
+                client = "late";
+                principal = None;
+                auth = None;
+              })
+       with
+      | Protocol.Welcome _ -> ()
+      | r -> Alcotest.fail ("hello answered with " ^ Protocol.response_kind r));
+      match call ~deadline_ms:0 2 Protocol.Digest with
+      | Protocol.Error_r { code = Protocol.Deadline_exceeded; _ } -> ()
+      | r ->
+          Alcotest.fail ("a spent budget answered with " ^ Protocol.response_kind r))
+
 (* ------------------------------------------------------------------ *)
 (* Routing and cross-shard transactions, end to end *)
 
@@ -547,6 +675,89 @@ let test_epoch_persistence () =
   | Error (Coordinator.Startup _) -> ()
   | Error e -> Alcotest.fail (Coordinator.start_error_to_string e)
   | Ok _ -> Alcotest.fail "started without a shard map")
+
+(* The coordinator checks a request's deadline once, before any shard is
+   asked, and gives its shard calls no budget. Shard 1 sits behind a
+   proxy that holds every frame to it for 0.3 s, so its BEGIN, INSERT and
+   PREPARE land at 0.3, 0.6 and 0.9 s; the client gives up at 0.75 s with
+   the PREPARE in flight, and the link heals. A coordinator that cut the
+   PREPARE short too would send its abort over the healed link, ahead of
+   the PREPARE, which would then hold the shard's writer lock with no
+   decision ever coming. *)
+let test_deadline_mid_prepare () =
+  let s0, th0, p0, _ = start_shard () in
+  let s1, th1, p1, _ = start_shard () in
+  let proxy =
+    match
+      Chaos.Proxy.start ~upstream_host:"127.0.0.1" ~upstream_port:p1 ()
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let coord, cth, _, cport =
+    start_coord
+      ~shards:[ ("127.0.0.1", p0); ("127.0.0.1", Chaos.Proxy.port proxy) ]
+      (temp_dir "-coord")
+  in
+  (* A shard left holding its writer lock would never drain. *)
+  let wedged = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      Coordinator.request_shutdown coord;
+      Thread.join cth;
+      Chaos.Proxy.stop proxy;
+      List.iteri
+        (fun i (s, th) -> if not (List.mem i !wedged) then Server.shutdown s th)
+        [ (s0, th0); (s1, th1) ])
+    (fun () ->
+      let c = connect cport in
+      (* Also dials this session's connection to each shard. *)
+      expect_ok "create"
+        (call c
+           (Protocol.Create_table
+              {
+                name = "bench";
+                columns = [ ("id", "int"); ("payload", "varchar(64)") ];
+                key = [ "id" ]; ledger = true
+              }));
+      let ids = cross_shard_ids () in
+      Chaos.Proxy.set_fault proxy
+        (Chaos.Proxy.Delay { seconds = 0.3; dir = Chaos.Proxy.To_upstream });
+      (match
+         Client.call ~deadline_s:0.75 c (Protocol.Exec { sql = insert_sql ids })
+       with
+      | Error _ -> ()
+      | Ok r ->
+          Alcotest.fail ("answered within the deadline: " ^ Protocol.response_kind r));
+      Chaos.Proxy.set_fault proxy Chaos.Proxy.Healthy;
+      Client.close c;
+      List.iteri
+        (fun i port ->
+          let d = connect port in
+          (match
+             Client.call ~deadline_s:5.0 d
+               (Protocol.Exec
+                  {
+                    sql =
+                      Printf.sprintf "INSERT INTO bench VALUES (%d, 'direct')"
+                        (-1 - i);
+                  })
+           with
+          | Ok r -> expect_ok (Printf.sprintf "direct write to shard %d" i) r
+          | Error e ->
+              wedged := i :: !wedged;
+              Alcotest.fail
+                (Printf.sprintf "shard %d still holds a prepared transaction: %s"
+                   i e));
+          Client.close d)
+        [ p0; p1 ];
+      (* The insert ran to its end on both shards. *)
+      let q = connect cport in
+      List.iter
+        (fun id ->
+          Alcotest.(check int) (Printf.sprintf "row %d" id) 1 (query_id q id))
+        ids;
+      Client.close q)
 
 (* ------------------------------------------------------------------ *)
 (* Crash matrix: every 2PC boundary *)
@@ -819,6 +1030,16 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_dlog_roundtrip;
           Alcotest.test_case "torn tail" `Quick test_dlog_torn_tail;
+          Alcotest.test_case "mid-file damage refused" `Quick
+            test_dlog_mid_file_damage;
+        ] );
+      ( "wire hygiene",
+        [
+          Alcotest.test_case "junk answered" `Quick test_coord_junk;
+          Alcotest.test_case "oversized header answered" `Quick
+            test_coord_oversized;
+          Alcotest.test_case "spent deadline refused" `Quick
+            test_coord_spent_deadline;
         ] );
       ( "cluster",
         [
@@ -829,6 +1050,8 @@ let () =
           Alcotest.test_case "wrong_shard refresh race" `Quick
             test_wrong_shard_refresh;
           Alcotest.test_case "epoch persistence" `Quick test_epoch_persistence;
+          Alcotest.test_case "deadline spent mid-prepare" `Quick
+            test_deadline_mid_prepare;
         ] );
       ( "crash matrix",
         [

@@ -397,9 +397,43 @@ let test_quoted_identifier_roundtrips () =
   | Some (Sqlexec.Ast.Table { alias = Some "FOR"; as_of = None; _ }) -> ()
   | _ -> Alcotest.fail "[FOR] as alias"
 
+(* Server session threads and the group-commit leader share one domain
+   and call LEDGERHASH concurrently. Every result must match the hash a
+   private context computes, and no call may fail. *)
+let test_ledgerhash_threads () =
+  let module Sha256 = Ledger_crypto.Sha256 in
+  let private_hash args =
+    let ctx = Sha256.init () in
+    Sha256.feed_string ctx "ledgerhash:";
+    List.iter (Value.tagged_feed ctx) args;
+    let out = Bytes.create 32 in
+    Sha256.finish_into ctx out ~off:0;
+    Value.String (Ledger_crypto.Hex.encode (Bytes.to_string out))
+  in
+  let wrong = Atomic.make 0 and failed = Atomic.make 0 in
+  let worker k =
+    try
+      for i = 1 to 200_000 do
+        let args = [ vi i; vs (Printf.sprintf "thread-%d" k) ] in
+        if
+          not
+            (Value.equal (Sqlexec.Builtins.ledgerhash args) (private_hash args))
+        then Atomic.incr wrong
+      done
+    with _ -> Atomic.incr failed
+  in
+  List.iter Thread.join (List.map (Thread.create worker) [ 1; 2 ]);
+  Alcotest.(check int) "wrong hashes" 0 (Atomic.get wrong);
+  Alcotest.(check int) "failed threads" 0 (Atomic.get failed)
+
 let () =
   Alcotest.run "sqlexec"
     [
+      ( "ledgerhash",
+        [
+          Alcotest.test_case "threads of one domain" `Quick
+            test_ledgerhash_threads;
+        ] );
       ( "lexer",
         [
           Alcotest.test_case "tokens" `Quick test_lexer_tokens;
