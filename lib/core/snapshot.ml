@@ -86,9 +86,8 @@ let save db =
 
    so a reader can tell a complete, uncorrupted snapshot from a torn or
    bit-flipped one before parsing it — that check is what lets recovery
-   fall back to an older generation instead of trusting garbage. Files
-   written before the container existed start with '{' and are accepted
-   as-is (no integrity check possible). Saves are atomic: tmp + fsync +
+   fall back to an older generation instead of trusting garbage; the body
+   is checked by [Fault.Crc_frame.check]. Saves are atomic: tmp + fsync +
    rename, with the previous generation kept as [path].prev. *)
 
 let container_magic = "SQLLEDGER-SNAPSHOT v2"
@@ -111,42 +110,25 @@ let read_file path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
   | text -> (
-      let parse body =
-        match Sjson.of_string body with
-        | exception Sjson.Parse_error e -> Error (path ^ ": " ^ e)
-        | json -> Ok json
-      in
-      let magic_len = String.length container_magic in
-      if
-        String.length text >= magic_len
-        && String.sub text 0 magic_len = container_magic
-      then
-        match String.index_opt text '\n' with
-        | None -> Error (path ^ ": truncated snapshot header")
-        | Some nl -> (
-            let header = String.sub text 0 nl in
-            let scan () =
-              Scanf.sscanf (String.sub header magic_len (nl - magic_len))
-                " crc32=%8lx len=%d%!" (fun crc len -> (crc, len))
-            in
-            match scan () with
-            | exception Scanf.Scan_failure _ | exception Failure _
-            | exception End_of_file ->
-                Error (path ^ ": malformed snapshot header: " ^ header)
-            | crc, len ->
-                let body_off = nl + 1 in
-                if String.length text - body_off <> len then
-                  Error
-                    (Printf.sprintf
-                       "%s: snapshot body is %d bytes, header says %d \
-                        (torn or truncated)"
-                       path
-                       (String.length text - body_off)
-                       len)
-                else if Fault.Crc32.substring text ~off:body_off ~len <> crc
-                then Error (path ^ ": snapshot checksum mismatch")
-                else parse (String.sub text body_off len))
-      else parse text)
+      let fail fmt = Printf.ksprintf (fun e -> Error (path ^ ": " ^ e)) fmt in
+      let m = String.length container_magic in
+      match String.index_opt text '\n' with
+      | Some nl when String.starts_with ~prefix:container_magic text -> (
+          match
+            Scanf.sscanf_opt (String.sub text m (nl - m)) " crc32=%8lx len=%d%!"
+              (fun crc len -> (crc, len))
+          with
+          | None -> fail "malformed snapshot header"
+          | Some (crc, len) -> (
+              let off = nl + 1 in
+              match
+                Fault.Crc_frame.check ~crc ~len text off (String.length text - off)
+              with
+              | Error e -> fail "snapshot %s (torn or truncated)" e
+              | Ok () -> (
+                  try Ok (Sjson.of_string (String.sub text off len))
+                  with Sjson.Parse_error e -> fail "%s" e)))
+      | _ -> fail "not a %s container" container_magic)
 
 let wal_lsn json =
   match Sjson.member "wal_lsn" json with Sjson.Int i -> i | _ -> 0

@@ -17,8 +17,7 @@
 
     Saves are crash-safe: the container is written to [path].tmp, fsynced,
     and renamed over [path], with the previous generation retained as
-    [path].prev until the new one is durable. Files written before the
-    container existed (bare JSON) still load. *)
+    [path].prev until the new one is durable. *)
 
 val save : Database.t -> Sjson.t
 (** Serialise the full database state. The snapshot records the WAL position
@@ -34,9 +33,10 @@ val save_to_file : Database.t -> path:string -> unit
     failpoints. *)
 
 val read_file : string -> (Sjson.t, string) result
-(** Read a snapshot file back, verifying the container checksum and length
-    when present. [Error] on a torn, truncated, or corrupted file — the
-    caller can then fall back to another generation. *)
+(** Read a snapshot file back, verifying the container's length and
+    checksum with {!Fault.Crc_frame.check}. [Error] on a torn, truncated,
+    or corrupted file, or one without the container — the caller can then
+    fall back to another generation. *)
 
 val load :
   ?clock:(unit -> float) -> ?wal_path:string -> Sjson.t ->

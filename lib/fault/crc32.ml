@@ -1,6 +1,7 @@
-(* CRC-32 (IEEE 802.3, polynomial 0xEDB88320), the checksum used to frame
-   WAL records and snapshot containers. Streaming API so callers can hash a
-   record spread across several pieces without concatenating them. *)
+(* CRC-32 (IEEE 802.3, polynomial 0xEDB88320), the checksum of every
+   durable record frame ([Crc_frame]: the WAL and the decision log) and of
+   the snapshot container. Streaming API so callers can hash a record
+   spread across several pieces without concatenating them. *)
 
 (* Built when the module loads, so no thread ever races to build it. *)
 let table =

@@ -79,6 +79,11 @@ let stop t = Atomic.set t.c_stop true
 let stopped t = Atomic.get t.c_stop
 let sync t = Aries.Wal.sync t.c_wal
 
+(* The run thread died of [e]: say so where [stats] looks. *)
+let failed t e =
+  t.c_connected <- false;
+  t.c_last_error <- Printexc.to_string e
+
 let metric_lines t =
   [
     Printf.sprintf "sqlledger_repl_client_connected %d"
@@ -89,6 +94,9 @@ let metric_lines t =
     Printf.sprintf "sqlledger_repl_client_bytes_received_total %d" t.c_bytes;
     Printf.sprintf "sqlledger_repl_client_reconnects_total %d" t.c_reconnects;
   ]
+  @
+  if t.c_last_error = "" then []
+  else [ Printf.sprintf "sqlledger_repl_client_last_error{error=%S} 1" t.c_last_error ]
 
 (* ------------------------------------------------------------------ *)
 (* Directory state *)
@@ -122,18 +130,6 @@ let read_state dir =
           with
           | Sjson.String p, Sjson.String i -> Ok (p, i)
           | _ -> Error (state_path dir ^ ": malformed replica state")))
-
-(* Rewrite the local log without its torn tail so reopening in append
-   mode cannot write after garbage. *)
-let rewrite_wal path records =
-  let w = Aries.Wal.create ~path ~sync_commits:false () in
-  List.iter
-    (fun (lsn, r) ->
-      Aries.Wal.advance_to w (lsn - 1);
-      ignore (Aries.Wal.append w r : Aries.Wal.lsn))
-    records;
-  Aries.Wal.sync w;
-  Aries.Wal.close w
 
 (* Rebuild the in-memory replica from the directory's durable copy:
    newest usable snapshot generation (if any) plus the local log tail —
@@ -206,8 +202,11 @@ let open_dir ?(clock = Unix.gettimeofday) ?(backoff_min = 0.1)
     if Sys.file_exists wal_path then
       match Aries.Wal.load_ex wal_path with
       | Error e -> Error e
-      | Ok { Aries.Wal.l_records; l_torn } ->
-          if l_torn then rewrite_wal wal_path l_records;
+      | Ok { Aries.Wal.l_records; l_clean } ->
+          (* Cut a torn tail so reopening in append mode cannot write
+             after garbage. *)
+          if l_clean < (Unix.stat wal_path).Unix.st_size then
+            Unix.truncate wal_path l_clean;
           Ok l_records
     else Ok []
   in

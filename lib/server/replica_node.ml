@@ -62,7 +62,11 @@ let run ?dump_metrics_to t =
   in
   let th =
     Thread.create
-      (fun () -> try Repl.Client.run t.client ~with_write with _ -> ())
+      (fun () ->
+        try Repl.Client.run t.client ~with_write
+        with e ->
+          Repl.Client.failed t.client e;
+          Wire.Listener.thread_failed "replication client" e)
       ()
   in
   Fun.protect
@@ -73,7 +77,11 @@ let run ?dump_metrics_to t =
     (fun () -> Server.run ?dump_metrics_to t.server)
 
 let run_async ?dump_metrics_to t =
-  Thread.create (fun () -> try run ?dump_metrics_to t with _ -> ()) ()
+  Thread.create
+    (fun () ->
+      try run ?dump_metrics_to t
+      with e -> Wire.Listener.thread_failed "replica" e)
+    ()
 
 let shutdown t th =
   request_shutdown t;

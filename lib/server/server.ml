@@ -356,7 +356,11 @@ let run ?(dump_metrics_to = stderr) t =
 (* Convenience for tests and bench: run in a background thread, stop it
    later with [shutdown]. *)
 let run_async ?dump_metrics_to t =
-  Thread.create (fun () -> try run ?dump_metrics_to t with _ -> ()) ()
+  Thread.create
+    (fun () ->
+      try run ?dump_metrics_to t
+      with e -> Listener.thread_failed "server" e)
+    ()
 
 let shutdown t th =
   request_shutdown t;

@@ -416,6 +416,9 @@ type session = {
          record the end client, not the coordinator *)
   conns : (int, Client.t) Hashtbl.t;  (* shard -> dedicated connection *)
   mutable txn : int list option;  (* shards holding an open BEGIN *)
+  mutable doomed : string option;
+      (* why the open transaction lost a participant; until ROLLBACK it
+         refuses every statement and COMMIT *)
 }
 
 let err = Protocol.error
@@ -450,10 +453,17 @@ let scall t s i req =
       | Ok resp -> Ok resp
       | Error m ->
           (* Transport failure: the connection (and any txn state riding
-             on it) is gone; drop it so the next use redials. *)
+             on it) is gone; drop it so the next use redials. The shard
+             rolls back a transaction whose connection died, so if it was
+             a participant the session's transaction is lost with it. *)
           Hashtbl.remove s.conns i;
           (try Client.close c with Sys_error _ | Unix.Unix_error _ -> ());
-          Error (Printf.sprintf "shard %d: %s" i m))
+          let m = Printf.sprintf "shard %d: %s" i m in
+          (match s.txn with
+          | Some parts when List.mem i parts && s.doomed = None ->
+              s.doomed <- Some m
+          | _ -> ());
+          Error m)
 
 let all_shards t = List.init (Shard_map.count (map t)) Fun.id
 
@@ -836,6 +846,9 @@ let exec_transactional t s stmts =
             match ensure_begun t s parts i with
             | Error m -> Error m
             | Ok parts -> (
+                (* Enlisted before its statement runs, so a connection
+                   lost under it dooms an explicit transaction. *)
+                if s.txn <> None then s.txn <- Some parts;
                 match scall t s i (Protocol.Exec { sql }) with
                 | Ok (Protocol.Error_r { message; _ }) ->
                     Error (Printf.sprintf "shard %d: %s" i message)
@@ -1224,6 +1237,10 @@ let handle t s ~map_epoch req =
             map_epoch = Some (Shard_map.epoch (map t));
           },
         `Keep )
+  | (Protocol.Exec _ | Protocol.Query _ | Protocol.Commit) when s.doomed <> None ->
+      ( err Protocol.Txn_state "transaction aborted (%s); roll back"
+          (Option.get s.doomed),
+        `Keep )
   | Protocol.Exec { sql } -> (exec_statement t s ~read_only:false sql, `Keep)
   | Protocol.Query { sql } -> (exec_statement t s ~read_only:true sql, `Keep)
   | Protocol.Begin -> (
@@ -1259,6 +1276,7 @@ let handle t s ~map_epoch req =
       | None -> (err Protocol.Txn_state "no transaction is open", `Keep)
       | Some parts ->
           s.txn <- None;
+          s.doomed <- None;
           List.iter
             (fun i ->
               ignore
@@ -1319,7 +1337,8 @@ let cleanup_session t s =
           ignore
             (scall t s i Protocol.Rollback : (Protocol.response, string) result))
         parts;
-      s.txn <- None
+      s.txn <- None;
+      s.doomed <- None
   | None -> ());
   Hashtbl.iter
     (fun _ c ->
@@ -1337,6 +1356,7 @@ let handler t =
           principal = None;
           conns = Hashtbl.create 4;
           txn = None;
+          doomed = None;
         });
     handle =
       (fun s ~deadline ~map_epoch req ->
@@ -1368,7 +1388,9 @@ let run t =
           (try
              if resolve_pending t > 0 then Thread.delay 0.3
              else Thread.delay 1.0
-           with _ -> Thread.delay 1.0)
+           with e ->
+             Listener.thread_failed "resolver" e;
+             Thread.delay 1.0)
         done)
       ()
   in

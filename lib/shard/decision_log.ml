@@ -15,18 +15,14 @@
    Decisions are never un-made: once the Decision record is fsynced the
    outcome is fixed, however many times delivery is retried.
 
-   Frame format, one record per line (same discipline as the WAL):
-
-     #crc len json\n
-
-   with [crc] the CRC-32 of [json] in %08lx and [len] its byte length.
-   A torn tail — short line, bad CRC, missing newline — is truncated on
-   load, exactly like a torn WAL append: the record never happened. A
-   damaged frame followed by another non-blank line is not a torn tail
-   but mid-file corruption (the WAL's rule): load refuses it and leaves
-   the file untouched, since truncating there would forget fsynced
-   decisions. Appends route through the ["coord.dlog"] failpoint so tests can tear
-   a record mid-bytes or kill the coordinator at the append. *)
+   One Fault.Crc_frame frame per record, tag [#], the body the record's
+   JSON. A torn tail — short line, bad CRC, missing newline — is truncated
+   on load, exactly like a torn WAL append: the record never happened. A
+   damaged frame with more after it is mid-file corruption: load refuses
+   it and leaves the file untouched, since truncating there would forget
+   fsynced decisions. Appends route through the ["coord.dlog"] failpoint
+   so tests can tear a record mid-bytes or kill the coordinator at the
+   append. *)
 
 type record =
   | Start of { gid : string; participants : int list }
@@ -78,52 +74,28 @@ let record_of_json json =
   | Sjson.String "end" -> End { gid = gid () }
   | _ -> failwith "unknown decision-log record"
 
-let frame json =
-  Printf.sprintf "#%08lx %d %s\n"
-    (Fault.Crc32.string json)
-    (String.length json) json
-
-(* ------------------------------------------------------------------ *)
-(* Load: parse frames up to the first damage. *)
-
 exception Corrupt of string
 
-(* One frame without its newline; [None] when it is damaged. *)
-let parse_frame line =
-  try
-    let sp1 = String.index line ' ' in
-    let sp2 = String.index_from line (sp1 + 1) ' ' in
-    let json = String.sub line (sp2 + 1) (String.length line - sp2 - 1) in
-    if
-      line.[0] = '#'
-      && int_of_string (String.sub line (sp1 + 1) (sp2 - sp1 - 1))
-         = String.length json
-      && Int32.of_string ("0x" ^ String.sub line 1 (sp1 - 1))
-         = Fault.Crc32.string json
-    then Some (record_of_json (Sjson.of_string json))
-    else None
-  with Not_found | Failure _ | Invalid_argument _ | Sjson.Parse_error _ -> None
+let decode tag s off len =
+  if tag <> '#' then Error "unknown frame tag"
+  else
+    try Ok (record_of_json (Sjson.of_string (String.sub s off len)))
+    with Failure e | Invalid_argument e | Sjson.Parse_error e -> Error e
 
-(* The records before the first damaged or unterminated line, the length
-   of that clean prefix, and whether a non-blank line follows the damage
-   (mid-file corruption rather than a torn tail). *)
-let scan contents =
-  let n = String.length contents in
-  let rec go pos acc =
-    match String.index_from_opt contents pos '\n' with
-    | None -> (List.rev acc, pos, false)
-    | Some nl -> (
-        match parse_frame (String.sub contents pos (nl - pos)) with
-        | Some r -> go (nl + 1) (r :: acc)
-        | None ->
-            let rest = String.sub contents nl (n - nl) in
-            (List.rev acc, pos, String.trim rest <> ""))
-  in
-  go 0 []
+(* The records before the first damaged frame and the length of that
+   clean prefix; mid-file damage raises [Corrupt]. *)
+let parse ~path contents =
+  match Fault.Crc_frame.scan decode contents with
+  | records, good, (Clean | Torn) -> (records, good)
+  | _, _, Corrupt { offset; reason } ->
+      raise
+        (Corrupt
+           (Printf.sprintf
+              "%s: corrupt decision-log record at byte %d of %d (%s; more \
+               records follow it); refusing to truncate logged 2PC outcomes"
+              path offset (String.length contents) reason))
 
-let parse_all contents =
-  let records, good, _ = scan contents in
-  (records, good)
+let parse_all contents = parse ~path:"decision log" contents
 
 type t = { oc : out_channel }
 
@@ -133,14 +105,7 @@ let load ~path =
     if not (Sys.file_exists path) then ""
     else In_channel.with_open_bin path In_channel.input_all
   in
-  let records, good, corrupt = scan contents in
-  if corrupt then
-    raise
-      (Corrupt
-         (Printf.sprintf
-            "%s: corrupt decision-log record at byte %d of %d (more records \
-             follow it); refusing to truncate logged 2PC outcomes"
-            path good (String.length contents)));
+  let records, good = parse ~path contents in
   (* A torn tail: the partial record never happened. *)
   if good < String.length contents then Unix.truncate path good;
   let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
@@ -151,7 +116,9 @@ let load ~path =
    and are fsynced before the caller proceeds. *)
 let append t record =
   let must_sync = match record with Start _ | Decision _ -> true | End _ -> false in
-  Fault.output point t.oc (frame (Sjson.to_string (record_to_json record)));
+  let body = Buffer.create 64 in
+  Sjson.write body (record_to_json record);
+  Fault.Crc_frame.output point t.oc ~tag:'#' body;
   if must_sync then Fault.Fsutil.fsync_channel t.oc else flush t.oc
 
 let close t = close_out_noerr t.oc

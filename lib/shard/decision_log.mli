@@ -1,7 +1,7 @@
 (** The coordinator's append-only 2PC decision log.
 
-    CRC-framed records, torn-tail-truncated on load; mid-file damage is
-    refused. [Start] with no
+    {!Fault.Crc_frame} records, torn-tail-truncated on load; mid-file
+    damage is refused. [Start] with no
     [Decision] recovers as presumed abort; [Decision] with no [End]
     re-sends the outcome until every participant acks. Appends route
     through the ["coord.dlog"] failpoint. *)
@@ -34,4 +34,4 @@ val close : t -> unit
 
 val parse_all : string -> record list * int
 (** Records decoded from a raw byte string plus the clean-prefix length —
-    exposed for torn-tail tests. *)
+    exposed for torn-tail tests. Mid-file damage raises [Corrupt]. *)

@@ -1,47 +1,35 @@
 type lsn = int
 
-(* On-disk format. One record per line. Two formats coexist:
+(* On-disk format: one Fault.Crc_frame frame per line, of two kinds.
 
-   - Framed (written since the crash-safety work):
+   - One record, [#CCCCCCCC LLL NNN {"type":...}]: the body is the LSN, one
+     space and the JSON payload. The explicit LSN keeps the sequence
+     monotonic across log truncations (compaction opens a fresh file whose
+     first record continues the old numbering), which is what lets
+     recovery line a snapshot's recorded position up against the log tail.
 
-       #CCCCCCCC LLL NNN {"type":...}
-        \______/ \_/ \_/ \__________/
-         crc32   len lsn   payload
-
-     [len] is the byte length of the body "NNN {...}" (LSN field, one
-     space, payload); [crc32] is the CRC-32 of that body. The explicit LSN
-     keeps the sequence monotonic across log truncations (compaction opens
-     a fresh file whose first record continues the old numbering), which is
-     what lets recovery line a snapshot's recorded position up against the
-     log tail. The checksum lets [load] distinguish a torn tail (crash
-     mid-append: drop it and proceed) from corruption in the middle of the
-     file (fail loudly).
-
-   - Batched (group commit): several records share one frame and one
+   - A batch (group commit): several records share one frame and one
      durability barrier:
 
        @CCCCCCCC LLL FFF N PLEN {"type":...} PLEN {"type":...} ...
-        \______/ \_/ \_/ | \________________/
-          crc32  len |   |  N length-prefixed payloads
-                     |  record count
+                     \_/ | \________________/
+                      |  |  N length-prefixed payloads
+                      | record count
                   first LSN
 
-     [len]/[crc32] cover the whole body (first LSN, count, and every
-     payload), and the records take LSNs [first .. first+N-1]. Because the
-     batch is a single checksummed line, a crash mid-append tears the
-     whole batch — recovery can never observe a prefix of it, which is
-     what makes group commit batch-atomic.
+     The records take LSNs [first .. first+N-1]. Because the batch is one
+     checksummed frame, a crash mid-append tears the whole batch — recovery
+     can never observe a prefix of it, which is what makes group commit
+     batch-atomic.
 
-   - Legacy (the original format): the bare JSON payload. Still loadable;
-     records are numbered sequentially from the previous LSN. A torn legacy
-     tail is recognised by its failure to parse with nothing but blank
-     space after it. *)
+   The frame's CRC tells a torn tail (crash mid-append: dropped) from
+   corruption in the middle of the file (loading fails loudly). *)
 
 type t = {
   mutable entries : (lsn * Log_record.t) list;  (* newest first *)
   mutable next_lsn : lsn;
   channel : out_channel option;
-  line_buf : Buffer.t;  (* reused across appends; one line per record *)
+  line_buf : Buffer.t;  (* reused across appends; one frame body each *)
   batch_buf : Buffer.t;  (* scratch for one payload while batch-framing *)
   sync_commits : bool;
 }
@@ -74,36 +62,25 @@ let create ?path ?(append = false) ?(first_lsn = 1) ?(sync_commits = true) () =
     sync_commits;
   }
 
-let fsync_channel oc =
-  try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ()
-
 let append t record =
   let lsn = t.next_lsn in
   t.next_lsn <- lsn + 1;
   t.entries <- (lsn, record) :: t.entries;
   (match t.channel with
   | Some oc ->
-      Buffer.clear t.line_buf;
-      Sjson.write t.line_buf (Log_record.to_json record);
-      let lsn_s = string_of_int lsn in
-      let body_len = String.length lsn_s + 1 + Buffer.length t.line_buf in
-      let crc =
-        Fault.Crc32.(
-          finish
-            (update_buffer (update_char (update_string init lsn_s) ' ')
-               t.line_buf))
-      in
-      Fault.output point_append oc
-        (Printf.sprintf "#%08lx %d %s " crc body_len lsn_s);
-      Fault.output_buffer point_append oc t.line_buf;
-      Fault.output point_append oc "\n";
+      let body = t.line_buf in
+      Buffer.clear body;
+      Buffer.add_string body (string_of_int lsn);
+      Buffer.add_char body ' ';
+      Sjson.write body (Log_record.to_json record);
+      Fault.Crc_frame.output point_append oc ~tag:'#' body;
       (* Durability point: a transaction is committed once its COMMIT
          record is on stable storage, so commit records are synced. *)
       (match record with
       | Log_record.Commit _ when t.sync_commits ->
           flush oc;
           Fault.trip point_sync;
-          fsync_channel oc
+          Fault.Fsutil.fsync_channel oc
       | _ -> flush oc)
   | None -> ());
   lsn
@@ -139,11 +116,7 @@ let append_batch t batch =
               Buffer.add_char body ' ';
               Buffer.add_buffer body scratch)
             batch;
-          let crc = Fault.Crc32.(finish (update_buffer init body)) in
-          Fault.output point_batch_append oc
-            (Printf.sprintf "@%08lx %d " crc (Buffer.length body));
-          Fault.output_buffer point_batch_append oc body;
-          Fault.output point_batch_append oc "\n";
+          Fault.Crc_frame.output point_batch_append oc ~tag:'@' body;
           flush oc;
           (* Single durability barrier for the whole batch: one fsync
              covers every commit in it. *)
@@ -154,7 +127,7 @@ let append_batch t batch =
                  batch
           then begin
             Fault.trip point_batch_sync;
-            fsync_channel oc
+            Fault.Fsutil.fsync_channel oc
           end
       | None -> ());
       lsns
@@ -189,195 +162,79 @@ let first_available t =
 (* Force everything appended so far onto stable storage (the server's
    graceful-shutdown barrier; per-commit durability is handled inline by
    [append]). *)
-let sync t =
-  Option.iter
-    (fun oc ->
-      flush oc;
-      fsync_channel oc)
-    t.channel
+let sync t = Option.iter Fault.Fsutil.fsync_channel t.channel
 
 let close t = Option.iter close_out t.channel
 
 (* ------------------------------------------------------------------ *)
 (* Loading *)
 
-type loaded = { l_records : (lsn * Log_record.t) list; l_torn : bool }
+type loaded = { l_records : (lsn * Log_record.t) list; l_clean : int }
 
-let is_blank s =
-  String.for_all (fun c -> c = ' ' || c = '\t' || c = '\r' || c = '\n') s
+exception Bad of string
 
-(* "#CCCCCCCC LEN LSN PAYLOAD" -> (lsn, payload) *)
-let parse_frame line =
-  let n = String.length line in
-  if n < 10 || line.[9] <> ' ' then Error "malformed frame header"
-  else
-    match Int32.of_string_opt ("0x" ^ String.sub line 1 8) with
-    | None -> Error "bad frame checksum field"
-    | Some crc -> (
-        match String.index_from_opt line 10 ' ' with
-        | None -> Error "truncated frame"
-        | Some sp -> (
-            match int_of_string_opt (String.sub line 10 (sp - 10)) with
-            | None -> Error "bad frame length field"
-            | Some len ->
-                let body_off = sp + 1 in
-                let body_len = n - body_off in
-                if body_len <> len then
-                  Error
-                    (Printf.sprintf "frame body is %d bytes, header says %d"
-                       body_len len)
-                else if Fault.Crc32.substring line ~off:body_off ~len <> crc
-                then Error "frame checksum mismatch"
-                else
-                  (match String.index_from_opt line body_off ' ' with
-                  | None -> Error "frame body missing LSN"
-                  | Some sp2 -> (
-                      match
-                        int_of_string_opt
-                          (String.sub line body_off (sp2 - body_off))
-                      with
-                      | None -> Error "bad LSN field"
-                      | Some lsn ->
-                          Ok (lsn, String.sub line (sp2 + 1) (n - sp2 - 1))))))
+(* A decimal field of a frame body ending in one space, read from [!pos]
+   before [stop]; leaves [pos] just past the space. *)
+let read_int s pos stop =
+  match String.index_from_opt s !pos ' ' with
+  | Some sp when sp < stop -> (
+      match int_of_string_opt (String.sub s !pos (sp - !pos)) with
+      | Some v when v >= 0 ->
+          pos := sp + 1;
+          v
+      | _ -> raise (Bad "bad integer field"))
+  | _ -> raise (Bad "frame body missing field")
 
-exception Bad_batch of string
+let payload s off len =
+  match Log_record.of_line (String.sub s off len) with
+  | Ok r -> r
+  | Error e -> raise (Bad e)
 
-(* "@CCCCCCCC LEN FIRST COUNT (PLEN PAYLOAD)*" -> (first_lsn, payloads).
-   The length/checksum check runs over the whole body, so a torn batch
-   never yields a prefix of its records — it fails here as one unit. *)
-let parse_batch_frame line =
-  let n = String.length line in
-  if n < 10 || line.[9] <> ' ' then Error "malformed batch header"
-  else
-    match Int32.of_string_opt ("0x" ^ String.sub line 1 8) with
-    | None -> Error "bad batch checksum field"
-    | Some crc -> (
-        match String.index_from_opt line 10 ' ' with
-        | None -> Error "truncated batch frame"
-        | Some sp -> (
-            match int_of_string_opt (String.sub line 10 (sp - 10)) with
-            | None -> Error "bad batch length field"
-            | Some len ->
-                let body_off = sp + 1 in
-                let body_len = n - body_off in
-                if body_len <> len then
-                  Error
-                    (Printf.sprintf "batch body is %d bytes, header says %d"
-                       body_len len)
-                else if Fault.Crc32.substring line ~off:body_off ~len <> crc
-                then Error "batch checksum mismatch"
-                else
-                  let pos = ref body_off in
-                  (* Reads an integer terminated by a single space and
-                     leaves [pos] just past the space. *)
-                  let read_int () =
-                    match String.index_from_opt line !pos ' ' with
-                    | None -> raise (Bad_batch "batch body missing field")
-                    | Some sp2 -> (
-                        match
-                          int_of_string_opt (String.sub line !pos (sp2 - !pos))
-                        with
-                        | None -> raise (Bad_batch "bad batch integer field")
-                        | Some v ->
-                            pos := sp2 + 1;
-                            v)
-                  in
-                  (try
-                     let first = read_int () in
-                     let count = read_int () in
-                     if count <= 0 then raise (Bad_batch "bad batch count");
-                     let payloads = ref [] in
-                     for i = 1 to count do
-                       let plen = read_int () in
-                       if plen < 0 || !pos + plen > n then
-                         raise (Bad_batch "batch payload overruns frame");
-                       payloads := String.sub line !pos plen :: !payloads;
-                       pos := !pos + plen;
-                       if i < count then
-                         if !pos < n && line.[!pos] = ' ' then incr pos
-                         else raise (Bad_batch "batch payloads not separated")
-                     done;
-                     if !pos <> n then
-                       raise (Bad_batch "trailing bytes after batch payloads");
-                     Ok (first, List.rev !payloads)
-                   with Bad_batch reason -> Error reason)))
-
-(* Parse one non-blank log line into its records. [prev_lsn] is the LSN
-   of the last successfully parsed record: framed records must carry
-   strictly increasing LSNs, and legacy bare-JSON lines are numbered
-   sequentially after it. A batch frame yields several records with
-   consecutive LSNs from its first. *)
-let parse_line ~prev_lsn line =
-  if line.[0] = '#' then
-    match parse_frame line with
-    | Error _ as e -> e
-    | Ok (lsn, payload) ->
-        if lsn <= prev_lsn then
-          Error (Printf.sprintf "non-monotonic LSN %d after %d" lsn prev_lsn)
-        else Result.map (fun r -> [ (lsn, r) ]) (Log_record.of_line payload)
-  else if line.[0] = '@' then
-    match parse_batch_frame line with
-    | Error _ as e -> e
-    | Ok (first, payloads) ->
-        if first <= prev_lsn then
-          Error (Printf.sprintf "non-monotonic LSN %d after %d" first prev_lsn)
-        else
-          let rec decode i acc = function
-            | [] -> Ok (List.rev acc)
-            | p :: rest -> (
-                match Log_record.of_line p with
-                | Ok r -> decode (i + 1) ((first + i, r) :: acc) rest
-                | Error _ as e -> e)
+(* The Crc_frame decoder of both frame kinds. [prev] is the LSN of the
+   last record decoded: LSNs must strictly increase, and a batch frame
+   yields its records with consecutive LSNs from its first. *)
+let decode prev tag s off len =
+  let stop = off + len and pos = ref off in
+  try
+    let first = read_int s pos stop in
+    if first <= !prev then
+      raise (Bad (Printf.sprintf "non-monotonic LSN %d after %d" first !prev));
+    let records =
+      match tag with
+      | '#' -> [ (first, payload s !pos (stop - !pos)) ]
+      | '@' ->
+          let count = read_int s pos stop in
+          let records =
+            List.init count (fun i ->
+                let plen = read_int s pos stop in
+                if plen > stop - !pos then raise (Bad "batch payload overruns frame");
+                let r = payload s !pos plen in
+                pos := !pos + plen;
+                if i < count - 1 then
+                  if !pos < stop && s.[!pos] = ' ' then incr pos
+                  else raise (Bad "batch payloads not separated");
+                (first + i, r))
           in
-          decode 0 [] payloads
-  else Result.map (fun r -> [ (prev_lsn + 1, r) ]) (Log_record.of_line line)
+          if count = 0 || !pos <> stop then raise (Bad "malformed batch");
+          records
+      | c -> raise (Bad (Printf.sprintf "unknown frame tag %C" c))
+    in
+    prev := first + List.length records - 1;
+    Ok records
+  with Bad reason -> Error reason
 
 let load_ex path =
-  match open_in_bin path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let out = ref [] in
-          let prev_lsn = ref 0 in
-          let count = ref 0 in
-          let torn = ref false in
-          let err = ref None in
-          (* A record that fails to parse is a torn tail — expected after a
-             crash mid-append — if and only if nothing but blank space
-             follows it; anything after a bad record is corruption and must
-             not be silently skipped. *)
-          let torn_or_corrupt reason =
-            if is_blank (In_channel.input_all ic) then torn := true
-            else
-              err :=
-                Some
-                  (Printf.sprintf
-                     "%s: corrupt WAL record %d (after LSN %d): %s" path
-                     !count !prev_lsn reason)
-          in
-          let continue = ref true in
-          while !continue do
-            match input_line ic with
-            | exception End_of_file -> continue := false
-            | line when String.trim line = "" -> ()
-            | line -> (
-                incr count;
-                match parse_line ~prev_lsn:!prev_lsn line with
-                | Ok entries ->
-                    List.iter
-                      (fun ((lsn, _) as entry) ->
-                        prev_lsn := lsn;
-                        out := entry :: !out)
-                      entries
-                | Error reason ->
-                    torn_or_corrupt reason;
-                    continue := false)
-          done;
-          match !err with
-          | Some e -> Error e
-          | None -> Ok { l_records = List.rev !out; l_torn = !torn })
+  | contents -> (
+      let prev = ref 0 in
+      match Fault.Crc_frame.scan (decode prev) contents with
+      | frames, clean, (Clean | Torn) ->
+          Ok { l_records = List.concat frames; l_clean = clean }
+      | frames, _, Corrupt { offset; reason } ->
+          Error
+            (Printf.sprintf "%s: corrupt WAL record %d (after LSN %d) at byte %d: %s"
+               path (List.length frames + 1) !prev offset reason))
 
 let load path = Result.map (fun l -> l.l_records) (load_ex path)
 
@@ -386,20 +243,16 @@ let load path = Result.map (fun l -> l.l_records) (load_ex path)
 
 (* A resumable cursor over a live log file. Each [poll] reopens the file,
    seeks to the byte just past the last complete line it consumed, and
-   parses only what was appended since — so repeatedly tailing a growing
-   log costs O(new records), not O(whole file) per call. Only complete
-   lines (terminated by a newline) are consumed: a final line still being
-   written — or torn by a writer crash — is left for the next poll rather
-   than misread. A *complete* line that fails to parse, or a file that
-   shrank below the cursor's position (truncation/compaction under the
-   cursor), is an error: the tailer's history no longer matches the file
-   and the caller must resynchronise. *)
+   decodes only the complete lines appended since: a final line still
+   being written (or torn by a writer crash) waits for the next poll. A
+   damaged complete line, or a file that shrank below the cursor, is an
+   error: the caller must resynchronise. *)
 module Tail = struct
   type cursor = {
     tc_path : string;
     mutable tc_offset : int;  (* bytes consumed (complete lines only) *)
     mutable tc_lsn : lsn;  (* records at or below this are not redelivered *)
-    mutable tc_prev : lsn;  (* last parsed LSN, for monotonicity checks *)
+    mutable tc_prev : lsn;  (* last decoded LSN, for monotonicity checks *)
   }
 
   let create ?(after = 0) path =
@@ -426,45 +279,27 @@ module Tail = struct
               let chunk = really_input_string ic (size - c.tc_offset) in
               match String.rindex_opt chunk '\n' with
               | None -> Ok []  (* no complete line yet *)
-              | Some nl ->
-                  let region = String.sub chunk 0 (nl + 1) in
-                  (* [prev] stays local until the whole region parses:
-                     committing it per line would leave the cursor's
-                     monotonicity state ahead of [tc_offset] when a later
-                     line fails, so the retrying poll would re-read the
-                     same bytes and report a misleading non-monotonic-LSN
-                     error instead of the original corruption. *)
+              | Some nl -> (
+                  (* [prev] stays local until the whole region decodes, so
+                     a failed poll leaves the cursor as it was and a retry
+                     reports the same damage. *)
                   let prev = ref c.tc_prev in
-                  let rec go acc = function
-                    | [] -> Ok (List.concat (List.rev acc))
-                    | line :: rest ->
-                        if is_blank line then go acc rest
-                        else (
-                          match parse_line ~prev_lsn:!prev line with
-                          | Error e ->
-                              Error
-                                (Printf.sprintf
-                                   "%s: corrupt record under tail cursor \
-                                    (after LSN %d): %s"
-                                   c.tc_path !prev e)
-                          | Ok entries ->
-                              (match List.rev entries with
-                              | (l, _) :: _ -> prev := l
-                              | [] -> ());
-                              go
-                                (List.filter (fun (l, _) -> l > c.tc_lsn)
-                                   entries
-                                :: acc)
-                                rest)
-                  in
-                  (match go [] (String.split_on_char '\n' region) with
-                  | Error _ as e -> e
-                  | Ok records ->
+                  match Fault.Crc_frame.scan ~len:(nl + 1) (decode prev) chunk with
+                  | frames, _, Clean ->
+                      let records =
+                        List.filter (fun (l, _) -> l > c.tc_lsn) (List.concat frames)
+                      in
                       c.tc_offset <- c.tc_offset + nl + 1;
                       c.tc_prev <- !prev;
-                      (match List.rev records with
-                      | (l, _) :: _ -> c.tc_lsn <- l
-                      | [] -> ());
-                      Ok records)
+                      c.tc_lsn <- max c.tc_lsn !prev;
+                      Ok records
+                  | _, _, stop ->
+                      Error
+                        (Printf.sprintf
+                           "%s: damaged record under tail cursor (after LSN %d)%s"
+                           c.tc_path !prev
+                           (match stop with
+                           | Corrupt { reason; _ } -> ": " ^ reason
+                           | _ -> "")))
             end)
 end

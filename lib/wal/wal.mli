@@ -2,10 +2,10 @@
 
     The log lives in memory and can additionally be mirrored to a file (one
     record per line), which is what crash-recovery replays. On-disk records
-    are framed as [#crc32 len lsn payload] so that recovery can distinguish
-    a torn tail (crash mid-append) from corruption in the middle of the
-    file; the legacy un-framed format (bare JSON payload per line) is still
-    readable. *)
+    are {!Fault.Crc_frame} frames: [#crc32 len lsn payload] for one record,
+    [@crc32 len first_lsn count ...] for a group-commit batch, so that
+    recovery can tell a torn tail (crash mid-append) from corruption in the
+    middle of the file. *)
 
 type t
 
@@ -74,22 +74,23 @@ val close : t -> unit
 
 type loaded = {
   l_records : (lsn * Log_record.t) list;
-  l_torn : bool;  (** a torn final record was dropped *)
+  l_clean : int;
+      (** byte length of the clean prefix: the records' frames, without a
+          dropped torn tail *)
 }
 
 val load_ex : string -> (loaded, string) result
-(** Read a log file back. A record that fails to parse or checksum is a
-    *torn tail* if nothing but blank space follows it — it is dropped and
-    [l_torn] is set. A bad record followed by further data is mid-file
-    corruption: [Error] with the failing record's position and the last
-    good LSN. Framed records must have strictly increasing LSNs; legacy
-    lines are numbered sequentially after the previous record. *)
+(** Read a log file back. A frame that fails to decode is a *torn tail* if
+    nothing but blank space follows its line — it is dropped, and
+    [l_clean] stops short of it. A bad frame followed by further data is
+    mid-file corruption: [Error] with the failing record's position, its
+    byte offset and the last good LSN. LSNs must strictly increase. *)
 
 val load : string -> ((lsn * Log_record.t) list, string) result
-(** [load_ex] without the torn-tail flag. *)
+(** [load_ex] without the clean-prefix length. *)
 
 (** Incremental tailing of a live log file. A cursor remembers how many
-    bytes it has consumed, so each {!Tail.poll} reads and parses only the
+    bytes it has consumed, so each {!Tail.poll} reads and decodes only the
     records appended since the previous poll — O(new), where re-loading
     the whole file per poll (the old [Replica.feed_from_file] behaviour)
     was O(file). *)
@@ -105,7 +106,7 @@ module Tail : sig
   (** New complete records since the last poll, in LSN order. A final
       line missing its newline (still being written, or torn by a crash)
       is left for the next poll. Errors when a complete line fails to
-      parse or the file shrank below the cursor — the file no longer
+      decode or the file shrank below the cursor — the file no longer
       matches the cursor's history and the caller must resynchronise. *)
 
   val path : cursor -> string

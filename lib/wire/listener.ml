@@ -224,6 +224,10 @@ let session_loop t h s conn =
     end
   done
 
+let thread_failed who e =
+  prerr_endline
+    (Printf.sprintf "sqlledger: %s thread failed: %s" who (Printexc.to_string e))
+
 (* A session thread. Whatever escapes set-up, the requests, a hand-off or
    clean-up is reported, and the socket and the slot are released
    regardless, so a dead session never leaks its fd or its slot. *)

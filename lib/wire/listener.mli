@@ -78,6 +78,11 @@ val stopping : t -> bool
 val crash : t -> exn -> unit
 (** Record a fault-injected crash and stop. *)
 
+val thread_failed : string -> exn -> unit
+(** [thread_failed who e] prints [sqlledger: <who> thread failed: <e>] on
+    stderr: what escapes a background thread's body is reported, never
+    dropped. *)
+
 type counts = { opened : int; active : int; rejected : int }
 
 val counts : t -> counts

@@ -208,40 +208,6 @@ let test_all_generations_corrupt_fails_loudly () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "corrupt-everything open must fail loudly")
 
-let test_legacy_seed_format_still_loads () =
-  (* Databases persisted before CRC framing / checksummed containers: a
-     bare-JSON-lines WAL and a raw JSON snapshot must recover and verify
-     unchanged. *)
-  with_dir (fun dir ->
-      Fault.Fsutil.mkdir_p dir;
-      let db = make_db ~signing_seed:"legacy" "dur" in
-      let accounts = make_accounts db in
-      figure2 db accounts;
-      let d = fresh_digest db in
-      (* Legacy WAL: un-framed record lines. *)
-      Out_channel.with_open_bin (Durable.wal_path dir) (fun oc ->
-          List.iter
-            (fun (_, r) ->
-              Out_channel.output_string oc (Aries.Log_record.to_line r ^ "\n"))
-            (Aries.Wal.records (Database_ledger.wal (Database.ledger db))));
-      let t = open_ok ~clock:(make_clock ()) dir in
-      let db2 = Durable.db t in
-      Alcotest.(check string) "identity" (Database.database_id db)
-        (Database.database_id db2);
-      Alcotest.(check bool) "pre-upgrade digest verifies" true
-        (Verifier.ok (Verifier.verify db2 ~digests:[ d ]));
-      (* Same, with a legacy raw-JSON snapshot next to the log. *)
-      rm_rf dir;
-      Fault.Fsutil.mkdir_p dir;
-      Out_channel.with_open_bin (Durable.snapshot_path dir) (fun oc ->
-          Out_channel.output_string oc
-            (Sjson.to_string ~pretty:true (Snapshot.save db)));
-      Out_channel.with_open_bin (Durable.wal_path dir) (fun oc ->
-          Out_channel.output_string oc "");
-      let t2 = open_ok ~clock:(make_clock ()) dir in
-      Alcotest.(check bool) "legacy snapshot verifies" true
-        (Verifier.ok (Verifier.verify (Durable.db t2) ~digests:[ d ])))
-
 let test_work_after_reopen_is_durable () =
   with_dir (fun dir ->
       (* generation 1 *)
@@ -288,7 +254,5 @@ let () =
             test_prev_generation_fallback;
           Alcotest.test_case "all generations corrupt" `Quick
             test_all_generations_corrupt_fails_loudly;
-          Alcotest.test_case "legacy seed format" `Quick
-            test_legacy_seed_format_still_loads;
         ] );
     ]

@@ -1,5 +1,6 @@
-(* The fault library itself: CRC-32 vectors, failpoint registry semantics,
-   and the crash-safe filesystem helpers. *)
+(* The fault library itself: CRC-32 vectors, the CRC frame codec and its
+   torn-versus-corrupt rule (also run through every log that uses it),
+   failpoint registry semantics, and the crash-safe filesystem helpers. *)
 
 let check = Alcotest.check
 let int32_t = Alcotest.int32
@@ -30,6 +31,243 @@ let test_crc_streaming_matches_oneshot () =
     Fault.Crc32.(finish (update_buffer init buf));
   check int32_t "substring" (Fault.Crc32.string "own f")
     (Fault.Crc32.substring s ~off:12 ~len:5)
+
+(* ------------------------------------------------------------------ *)
+(* CRC frames: one rule, checked on the codec and through every log *)
+
+module Frame = Fault.Crc_frame
+module LR = Aries.Log_record
+module Decision_log = Shard.Decision_log
+
+let stop_t =
+  Alcotest.testable
+    (fun ppf -> function
+      | Frame.Clean -> Format.pp_print_string ppf "Clean"
+      | Frame.Torn -> Format.pp_print_string ppf "Torn"
+      | Frame.Corrupt { offset; reason } ->
+          Format.fprintf ppf "Corrupt at %d (%s)" offset reason)
+    (fun a b ->
+      match (a, b) with
+      | Frame.Corrupt { offset = x; _ }, Frame.Corrupt { offset = y; _ } -> x = y
+      | _ -> a = b)
+
+let corrupt_at offset = Frame.Corrupt { offset; reason = "" }
+
+let with_temp_file f =
+  let path = Filename.temp_file "crcframe" ".log" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let write_file path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+(* The offset just past each frame's newline. *)
+let frame_ends s =
+  List.filter_map
+    (fun i -> if s.[i] = '\n' then Some (i + 1) else None)
+    (List.init (String.length s) Fun.id)
+
+(* Every cut of [file] short of its full length, with the number of whole
+   frames before the cut, the end of the last of them, and whether the
+   cut falls on a frame boundary. *)
+let each_cut file f =
+  let ends = frame_ends file in
+  for cut = 0 to String.length file - 1 do
+    let kept = List.length (List.filter (fun e -> e <= cut) ends) in
+    let clean = if kept = 0 then 0 else List.nth ends (kept - 1) in
+    f ~cut:(String.sub file 0 cut) ~kept ~clean ~boundary:(clean = cut)
+  done
+
+(* Every one-bit flip of a byte of [file], newlines included, with the
+   index and offset of the frame it hits, whether that frame is the last
+   and whether the byte is its newline. *)
+let each_flip file f =
+  let ends = frame_ends file in
+  let starts = 0 :: List.filteri (fun i _ -> i < List.length ends - 1) ends in
+  List.iteri
+    (fun k (start, stop) ->
+      for i = start to stop - 1 do
+        let b = Bytes.of_string file in
+        Bytes.set b i (Char.chr (Char.code file.[i] lxor 1));
+        f ~flipped:(Bytes.to_string b) ~frame:k ~offset:start
+          ~final:(k = List.length ends - 1) ~newline:(i = stop - 1)
+      done)
+    (List.combine starts ends)
+
+let decode_any tag s off len =
+  if tag = '#' || tag = '@' then Ok (tag, String.sub s off len)
+  else Error "unknown tag"
+
+(* Three frames with mixed tags, written by [output]. *)
+let three_frames () =
+  with_temp_file (fun path ->
+      let oc = open_out_bin path in
+      List.iter
+        (fun (tag, body) ->
+          let b = Buffer.create 16 in
+          Buffer.add_string b body;
+          Frame.output "test.crc_frame" oc ~tag b)
+        [ ('#', "alpha"); ('@', "beta 2 gamma"); ('#', "{\"d\":[1,2]}") ];
+      close_out oc;
+      read_file path)
+
+let test_frame_roundtrip () =
+  let file = three_frames () in
+  check Alcotest.string "the writers' bytes"
+    (Printf.sprintf "#%08lx 5 alpha\n" (Fault.Crc32.string "alpha"))
+    (String.sub file 0 (List.hd (frame_ends file)));
+  let records, clean, stop = Frame.scan decode_any file in
+  check stop_t "clean" Frame.Clean stop;
+  check Alcotest.int "whole file" (String.length file) clean;
+  check Alcotest.(list (pair char string)) "records"
+    [ ('#', "alpha"); ('@', "beta 2 gamma"); ('#', {|{"d":[1,2]}|}) ]
+    records;
+  check Alcotest.(result unit string) "check"
+    (Error "frame body is 4 bytes, header says 5")
+    (Frame.check ~crc:(Fault.Crc32.string "alpha") ~len:5 "alpha" 0 4)
+
+let test_frame_cuts () =
+  let file = three_frames () in
+  each_cut file (fun ~cut ~kept ~clean ~boundary ->
+      let records, len, stop = Frame.scan decode_any cut in
+      let name = Printf.sprintf "cut %d" (String.length cut) in
+      check Alcotest.int (name ^ " keeps whole frames") kept
+        (List.length records);
+      check Alcotest.int (name ^ " clean prefix") clean len;
+      check stop_t name (if boundary then Frame.Clean else Frame.Torn) stop);
+  (* A cut just before the final newline drops that frame. *)
+  let records, len, stop =
+    Frame.scan decode_any (String.sub file 0 (String.length file - 1))
+  in
+  check Alcotest.int "unterminated final frame dropped" 2 (List.length records);
+  check Alcotest.int "prefix" (List.nth (frame_ends file) 1) len;
+  check stop_t "torn" Frame.Torn stop
+
+let test_frame_flips () =
+  let file = three_frames () in
+  (* A damaged newline joins its frame to the next line; the intact frame
+     behind it still makes the damage corruption, even when that frame is
+     the last one. *)
+  each_flip file (fun ~flipped ~frame ~offset ~final ~newline:_ ->
+      let records, len, stop = Frame.scan decode_any flipped in
+      let name = Printf.sprintf "flip in frame %d" frame in
+      check Alcotest.int (name ^ " keeps the frames before it") frame
+        (List.length records);
+      check Alcotest.int (name ^ " prefix") offset len;
+      check stop_t name (if final then Frame.Torn else corrupt_at offset) stop);
+  (* Trailing blank lines after the last frame are clean; a blank line
+     with a frame after it is not. *)
+  let records, len, stop = Frame.scan decode_any (file ^ "\n \n\t\r\n") in
+  check stop_t "trailing blanks" Frame.Clean stop;
+  check Alcotest.int "all records" 3 (List.length records);
+  check Alcotest.int "prefix ends at the last frame" (String.length file) len;
+  let first = List.hd (frame_ends file) in
+  let _, _, stop =
+    Frame.scan decode_any
+      (String.sub file 0 first ^ "\n" ^ String.sub file first (String.length file - first))
+  in
+  check stop_t "blank line mid-file" (corrupt_at first) stop
+
+(* A WAL of three frames: one record, a batch of two, one record. *)
+let wal_file () =
+  with_temp_file (fun path ->
+      let w = Aries.Wal.create ~path () in
+      ignore (Aries.Wal.append w (LR.Begin { txn_id = 1 }) : int);
+      ignore (Aries.Wal.append_batch w [ LR.Begin { txn_id = 2 }; LR.Abort { txn_id = 2 } ] : int list);
+      ignore (Aries.Wal.append w (LR.Abort { txn_id = 1 }) : int);
+      Aries.Wal.close w;
+      read_file path)
+
+let lsns_of_frames = [| []; [ 1 ]; [ 1; 2; 3 ]; [ 1; 2; 3; 4 ] |]
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_wal_load_cuts_and_flips () =
+  let file = wal_file () in
+  with_temp_file (fun path ->
+      let load s =
+        write_file path s;
+        Aries.Wal.load_ex path
+      in
+      each_cut file (fun ~cut ~kept ~clean ~boundary:_ ->
+          match load cut with
+          | Error e -> Alcotest.failf "cut %d: %s" (String.length cut) e
+          | Ok l ->
+              check Alcotest.(list int) "records" lsns_of_frames.(kept)
+                (List.map fst l.Aries.Wal.l_records);
+              check Alcotest.int "clean prefix" clean l.Aries.Wal.l_clean);
+      each_flip file (fun ~flipped ~frame ~offset ~final ~newline:_ ->
+          match (load flipped, final) with
+          | Ok l, true ->
+              check Alcotest.(list int) "final frame dropped" lsns_of_frames.(frame)
+                (List.map fst l.Aries.Wal.l_records)
+          | Error e, false ->
+              check Alcotest.bool e true
+                (contains e (Printf.sprintf "at byte %d:" offset))
+          | Ok _, false -> Alcotest.failf "flip in frame %d loaded" frame
+          | Error e, true -> Alcotest.failf "flip in the final frame: %s" e))
+
+let test_wal_tail_cuts_and_flips () =
+  let file = wal_file () in
+  with_temp_file (fun path ->
+      (* A cut leaves its partial line for the next poll, which reads the
+         rest once the file is whole. *)
+      each_cut file (fun ~cut ~kept ~clean:_ ~boundary:_ ->
+          write_file path cut;
+          let c = Aries.Wal.Tail.create path in
+          let poll () =
+            match Aries.Wal.Tail.poll c with
+            | Ok r -> List.map fst r
+            | Error e -> Alcotest.failf "cut %d: %s" (String.length cut) e
+          in
+          check Alcotest.(list int) "complete frames" lsns_of_frames.(kept) (poll ());
+          write_file path file;
+          let rest = List.filteri (fun i _ -> i >= List.length lsns_of_frames.(kept)) lsns_of_frames.(3) in
+          check Alcotest.(list int) "the rest" rest (poll ()));
+      (* A damaged complete line is an error wherever it is; a damaged
+         final newline leaves an incomplete line to wait for. *)
+      each_flip file (fun ~flipped ~frame ~offset:_ ~final ~newline ->
+          write_file path flipped;
+          match Aries.Wal.Tail.poll (Aries.Wal.Tail.create path) with
+          | Ok r when final && newline ->
+              check Alcotest.(list int) "complete frames" lsns_of_frames.(frame)
+                (List.map fst r)
+          | Error _ when not (final && newline) -> ()
+          | _ -> Alcotest.failf "flip in frame %d polled" frame))
+
+let test_decision_log_cuts_and_flips () =
+  let records =
+    [
+      Decision_log.Start { gid = "g1"; participants = [ 0; 1 ] };
+      Decision_log.Decision { gid = "g1"; commit = true };
+      Decision_log.End { gid = "g1" };
+    ]
+  in
+  let file =
+    with_temp_file (fun path ->
+        Sys.remove path;
+        let _, t = Decision_log.load ~path in
+        List.iter (Decision_log.append t) records;
+        Decision_log.close t;
+        read_file path)
+  in
+  let prefix n = List.filteri (fun i _ -> i < n) records in
+  each_cut file (fun ~cut ~kept ~clean ~boundary:_ ->
+      let parsed, len = Decision_log.parse_all cut in
+      check Alcotest.bool "records" true (parsed = prefix kept);
+      check Alcotest.int "clean prefix" clean len);
+  each_flip file (fun ~flipped ~frame ~offset ~final ~newline:_ ->
+      match Decision_log.parse_all flipped with
+      | parsed, len when final ->
+          check Alcotest.bool "final frame dropped" true (parsed = prefix frame);
+          check Alcotest.int "clean prefix" offset len
+      | _ -> Alcotest.failf "flip in frame %d parsed" frame
+      | exception Decision_log.Corrupt e ->
+          check Alcotest.bool e true
+            ((not final) && contains e (Printf.sprintf "at byte %d of" offset)))
 
 (* ------------------------------------------------------------------ *)
 (* Failpoint registry *)
@@ -145,7 +383,6 @@ let test_mkdir_p_concurrent_race () =
         (List.for_all Fun.id oks);
       check Alcotest.bool "directory exists" true (Sys.is_directory target))
 
-let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let test_atomic_write_basic () =
   with_reset (fun () ->
@@ -199,6 +436,19 @@ let () =
         [
           Alcotest.test_case "vectors" `Quick test_crc_vectors;
           Alcotest.test_case "streaming" `Quick test_crc_streaming_matches_oneshot;
+        ] );
+      ( "crc frame",
+        [
+          Alcotest.test_case "roundtrip" `Quick test_frame_roundtrip;
+          Alcotest.test_case "every cut is torn" `Quick test_frame_cuts;
+          Alcotest.test_case "flips: corrupt mid-file, torn at the end" `Quick
+            test_frame_flips;
+          Alcotest.test_case "through Wal.load_ex" `Quick
+            test_wal_load_cuts_and_flips;
+          Alcotest.test_case "through Wal.Tail.poll" `Quick
+            test_wal_tail_cuts_and_flips;
+          Alcotest.test_case "through Decision_log.parse_all" `Quick
+            test_decision_log_cuts_and_flips;
         ] );
       ( "failpoints",
         [

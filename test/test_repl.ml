@@ -83,16 +83,22 @@ let test_tail_cursor () =
         (List.map fst records)
   | Error e -> Alcotest.fail e);
   Aries.Wal.close w;
-  (* A partial (unterminated) line is left for the next poll... *)
+  (* Half a frame (an unterminated line) is left for the next poll... *)
+  let frame =
+    let body = "9 " ^ LR.to_line (LR.Begin { txn_id = 9 }) in
+    Printf.sprintf "#%08lx %d %s\n" (Fault.Crc32.string body)
+      (String.length body) body
+  in
+  let half = String.length frame / 2 in
   let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 path in
-  output_string oc {|{"type":"begin","txn|};
+  output_string oc (String.sub frame 0 half);
   flush oc;
   (match Aries.Wal.Tail.poll c with
   | Ok [] -> ()
   | Ok _ -> Alcotest.fail "torn tail must not be consumed"
   | Error e -> Alcotest.fail ("torn tail must not error: " ^ e));
   (* ...and consumed once the writer completes it. *)
-  output_string oc "_id\":9}\n";
+  output_string oc (String.sub frame half (String.length frame - half));
   close_out oc;
   (match Aries.Wal.Tail.poll c with
   | Ok [ (9, LR.Begin { txn_id = 9 }) ] -> ()
@@ -587,6 +593,62 @@ let test_crash_restart_failpoints () =
           Repl.Client.close cl3;
           Client.close c))
 
+(* A crash tore the replica's last append: its log ends in half a frame.
+   Reopening cuts the file back to its clean prefix, and the next batch
+   the replica applies lands right after that prefix. *)
+let test_torn_tail_reopen () =
+  with_primary (fun ~dir:_ ~port srv ->
+      with_tmp_dir (fun rep_dir ->
+          let c = connect port in
+          create_accounts c;
+          expect_ok "insert" (insert c "a" 1);
+          let open_client () =
+            match
+              Repl.Client.open_dir ~primary_host:"127.0.0.1" ~primary_port:port
+                ~dir:rep_dir ()
+            with
+            | Ok cl -> cl
+            | Error e -> Alcotest.fail e
+          in
+          let sync what cl =
+            let th = run_raw_client cl in
+            await ~what (fun () -> Repl.Client.last_lsn cl = primary_lsn srv);
+            Repl.Client.stop cl;
+            Thread.join th;
+            Repl.Client.close cl
+          in
+          let cl1 = open_client () in
+          sync "first sync" cl1;
+          let persisted = Repl.Client.last_lsn cl1 in
+          let wal = Durable.wal_path rep_dir in
+          let read () = In_channel.with_open_bin wal In_channel.input_all in
+          let clean = read () in
+          let frame =
+            let body = "999 " ^ LR.to_line (LR.Begin { txn_id = 999 }) in
+            Printf.sprintf "#%08lx %d %s\n" (Fault.Crc32.string body)
+              (String.length body) body
+          in
+          Out_channel.with_open_gen [ Open_wronly; Open_append; Open_binary ] 0o644
+            wal (fun oc -> output_string oc (String.sub frame 0 (String.length frame / 2)));
+          let cl2 = open_client () in
+          Alcotest.(check string) "the log is its clean prefix" clean (read ());
+          Alcotest.(check int) "resumes from the persisted LSN" persisted
+            (Repl.Client.last_lsn cl2);
+          expect_ok "insert" (insert c "b" 2);
+          sync "second sync" cl2;
+          let after = read () in
+          Alcotest.(check bool) "the next batch follows the clean prefix" true
+            (String.length after > String.length clean
+            && String.sub after 0 (String.length clean) = clean);
+          (match Aries.Wal.load_ex wal with
+          | Ok l ->
+              Alcotest.(check int) "every byte clean" (String.length after)
+                l.Aries.Wal.l_clean;
+              Alcotest.(check int) "up to the primary" (primary_lsn srv)
+                (fst (List.nth l.Aries.Wal.l_records (List.length l.Aries.Wal.l_records - 1)))
+          | Error e -> Alcotest.fail e);
+          Client.close c))
+
 (* ------------------------------------------------------------------ *)
 (* Promotion *)
 
@@ -738,6 +800,7 @@ let () =
             test_stream_survives_compaction;
           Alcotest.test_case "digest gate over the wire" `Quick
             test_lag_gate_over_wire;
+          Alcotest.test_case "torn tail reopen" `Quick test_torn_tail_reopen;
           Alcotest.test_case "crash/restart resumes from persisted LSN" `Quick
             test_crash_restart_failpoints;
           Alcotest.test_case "promotion retains digested transactions" `Quick

@@ -759,6 +759,80 @@ let test_deadline_mid_prepare () =
         ids;
       Client.close q)
 
+(* Shard 1 sits behind a proxy that tears its connections after the
+   transaction's first insert there. The shard rolls that part back, so
+   the coordinator dooms the session's transaction: later statements and
+   COMMIT are refused with [txn_state] until the client rolls back, and
+   nothing of the transaction survives the rollback. Were the shard left
+   enlisted, the next insert to it would run in auto-commit on a
+   redialled connection and outlive the rollback. *)
+let test_torn_participant_dooms_txn () =
+  let s0, th0, p0, _ = start_shard () in
+  let s1, th1, p1, _ = start_shard () in
+  let proxy =
+    match
+      Chaos.Proxy.start ~upstream_host:"127.0.0.1" ~upstream_port:p1 ()
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let coord, cth, _, cport =
+    start_coord
+      ~shards:[ ("127.0.0.1", p0); ("127.0.0.1", Chaos.Proxy.port proxy) ]
+      (temp_dir "-coord")
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Coordinator.request_shutdown coord;
+      Thread.join cth;
+      Chaos.Proxy.stop proxy;
+      Server.shutdown s0 th0;
+      Server.shutdown s1 th1)
+    (fun () ->
+      let c = connect cport in
+      expect_ok "create"
+        (call c
+           (Protocol.Create_table
+              {
+                name = "bench";
+                columns = [ ("id", "int"); ("payload", "varchar(64)") ];
+                key = [ "id" ]; ledger = true
+              }));
+      let on_shard1 =
+        List.filter (fun id -> shard_of ~shards:2 id = 1) (List.init 64 (fun i -> 9000 + i))
+      in
+      let a, b, b' =
+        match on_shard1 with
+        | a :: b :: b' :: _ -> (a, b, b')
+        | _ -> Alcotest.fail "too few keys on shard 1"
+      in
+      let insert id =
+        call c
+          (Protocol.Exec
+             { sql = Printf.sprintf "INSERT INTO bench VALUES (%d, 'x')" id })
+      in
+      let refused what = function
+        | Protocol.Error_r { code = Protocol.Txn_state; _ } -> ()
+        | r -> Alcotest.fail (what ^ " in a doomed transaction: " ^ Protocol.response_kind r)
+      in
+      expect_ok "begin" (call c Protocol.Begin);
+      expect_ok "insert a" (insert a);
+      Chaos.Proxy.kill_connections proxy;
+      (match insert b with
+      | Protocol.Error_r _ -> ()
+      | r -> Alcotest.fail ("insert b over a torn link: " ^ Protocol.response_kind r));
+      refused "insert b'" (insert b');
+      refused "commit" (call c Protocol.Commit);
+      expect_ok "rollback" (call c Protocol.Rollback);
+      List.iter
+        (fun (name, id) ->
+          Alcotest.(check int) (name ^ " absent after rollback") 0 (query_id c id))
+        [ ("a", a); ("b", b); ("b'", b') ];
+      (* The session works again after the rollback. *)
+      expect_ok "insert after rollback" (insert b');
+      Alcotest.(check int) "b' committed" 1 (query_id c b');
+      Client.close c)
+
 (* ------------------------------------------------------------------ *)
 (* Crash matrix: every 2PC boundary *)
 
@@ -1052,6 +1126,8 @@ let () =
           Alcotest.test_case "epoch persistence" `Quick test_epoch_persistence;
           Alcotest.test_case "deadline spent mid-prepare" `Quick
             test_deadline_mid_prepare;
+          Alcotest.test_case "torn participant dooms the transaction" `Quick
+            test_torn_participant_dooms_txn;
         ] );
       ( "crash matrix",
         [

@@ -118,36 +118,6 @@ let test_wal_frames_on_disk () =
             line)
         lines)
 
-let test_wal_legacy_format_loads () =
-  (* Files written before CRC framing: bare JSON records, numbered
-     sequentially — the seed on-disk format must keep loading. *)
-  with_temp_file (fun path ->
-      write_lines path
-        [
-          LR.to_line (LR.Begin { txn_id = 1 });
-          LR.to_line (LR.Commit (sample_commit 1 0 0));
-        ];
-      match Aries.Wal.load path with
-      | Error e -> Alcotest.fail e
-      | Ok records ->
-          Alcotest.(check (list int)) "legacy lsns" [ 1; 2 ]
-            (List.map fst records))
-
-let test_wal_legacy_torn_tail_with_trailing_blank () =
-  (* The seed's torn-tail check compared file positions and misclassified a
-     torn record followed by a newline (or blank lines) as corruption. *)
-  with_temp_file (fun path ->
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc
-            (LR.to_line (LR.Begin { txn_id = 1 }) ^ "\n");
-          Out_channel.output_string oc {|{"type":"commit","txn|};
-          Out_channel.output_string oc "\n\n  \n");
-      match Aries.Wal.load_ex path with
-      | Error e -> Alcotest.fail e
-      | Ok l ->
-          Alcotest.(check int) "prefix kept" 1 (List.length l.Aries.Wal.l_records);
-          Alcotest.(check bool) "flagged torn" true l.Aries.Wal.l_torn)
-
 let test_wal_framed_torn_tail () =
   with_temp_file (fun path ->
       let w = Aries.Wal.create ~path () in
@@ -229,22 +199,6 @@ let test_wal_first_lsn_and_advance () =
           Alcotest.(check (list int)) "lsns round-trip through the file"
             [ 41; 101 ] (List.map fst records))
 
-let test_wal_legacy_then_framed_mix () =
-  (* A log whose head predates framing and whose tail is framed (written
-     after an upgrade) loads as one sequence. *)
-  with_temp_file (fun path ->
-      write_lines path
-        [
-          LR.to_line (LR.Begin { txn_id = 1 });
-          LR.to_line (LR.Commit (sample_commit 1 0 0));
-          frame 3 (LR.to_line (LR.Begin { txn_id = 2 }));
-        ];
-      match Aries.Wal.load path with
-      | Error e -> Alcotest.fail e
-      | Ok records ->
-          Alcotest.(check (list int)) "mixed lsns" [ 1; 2; 3 ]
-            (List.map fst records))
-
 let test_analysis_no_checkpoint () =
   let entries =
     [
@@ -312,9 +266,6 @@ let () =
           Alcotest.test_case "torn tail" `Quick test_wal_torn_tail;
           Alcotest.test_case "mid corruption" `Quick test_wal_mid_corruption_detected;
           Alcotest.test_case "frames on disk" `Quick test_wal_frames_on_disk;
-          Alcotest.test_case "legacy format" `Quick test_wal_legacy_format_loads;
-          Alcotest.test_case "legacy torn tail + blanks" `Quick
-            test_wal_legacy_torn_tail_with_trailing_blank;
           Alcotest.test_case "framed torn tail (all cuts)" `Quick
             test_wal_framed_torn_tail;
           Alcotest.test_case "bit flip is corruption" `Quick
@@ -323,8 +274,6 @@ let () =
             test_wal_nonmonotonic_lsn_is_corruption;
           Alcotest.test_case "first_lsn / advance_to" `Quick
             test_wal_first_lsn_and_advance;
-          Alcotest.test_case "legacy+framed mix" `Quick
-            test_wal_legacy_then_framed_mix;
         ] );
       ( "analysis",
         [
