@@ -544,7 +544,7 @@ let serve_migrate = ref false (* add the online-migration interference phase *)
 let serve_warmup = ref (-1.0) (* seconds; negative = experiment default *)
 
 (* Group-commit coalescing window in ms; negative = server default.
-   `--window 0` benches the legacy fsync-per-commit path. *)
+   `--window 0` benches the queue with no linger. *)
 let serve_window_ms = ref (-1.0)
 
 let serve_bench () =

@@ -1336,10 +1336,10 @@ let serve_cmd =
           [ "group-commit-window" ]
           ~docv:"MILLISECONDS"
           ~doc:
-            "Group commit: concurrent auto-commit writers coalesce for up \
-             to this long into one batched WAL append sharing a single \
-             fsync; 0 gives every commit its own fsync (the legacy \
-             commit path).")
+            "Group commit: the commit leader lingers up to this long to \
+             coalesce concurrent auto-commit writers into one batched WAL \
+             append sharing a single fsync; 0 means no linger (the leader \
+             publishes whatever is queued at once).")
   in
   let max_inflight =
     Arg.(

@@ -149,9 +149,6 @@ let user_ledger_tables t =
 
 let begin_txn t ~user = Txn.begin_txn ~ledger:t.dbl ~user ~clock:t.clock
 
-let begin_staged_txn t ~user =
-  Txn.begin_staged_txn ~ledger:t.dbl ~user ~clock:t.clock
-
 let with_txn t ~user f =
   let txn = begin_txn t ~user in
   match f txn with

@@ -89,11 +89,6 @@ val user_ledger_tables : t -> Ledger_table.t list
 
 val begin_txn : t -> user:string -> Txn.t
 
-val begin_staged_txn : t -> user:string -> Txn.t
-(** {!Txn.begin_staged_txn} against this database's ledger: the
-    transaction's WAL records are all deferred to {!Txn.stage_commit} for
-    a group-commit leader to publish as one batch. *)
-
 val with_txn : t -> user:string -> (Txn.t -> 'a) -> 'a * Types.txn_entry
 (** Run, then commit; rolls back and re-raises on exception. *)
 

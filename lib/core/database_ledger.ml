@@ -255,21 +255,28 @@ let block_of_row (row : Row.t) : Types.block =
 
 (* ------------------------------------------------------------------ *)
 
+(* No transaction may begin on a broken log: its commit could never
+   become durable, and the engine state it would read already holds
+   effects that may not have. *)
 let next_txn_id t =
-  let id = t.next_txn in
-  t.next_txn <- id + 1;
-  ignore (Aries.Wal.append t.db_wal (Aries.Log_record.Begin { txn_id = id }) : int);
-  id
-
-(* Staged transactions defer every WAL record — including Begin — to the
-   commit leader, so nothing may touch the log here. *)
-let stage_txn_id t =
+  Option.iter raise (Aries.Wal.broken t.db_wal);
   let id = t.next_txn in
   t.next_txn <- id + 1;
   id
 
-let log_abort t ~txn_id =
-  ignore (Aries.Wal.append t.db_wal (Aries.Log_record.Abort { txn_id }) : int)
+(* The one durability point of the engine: a transaction's records (or a
+   commit leader's batch of them, or a block close, or a decision) reach
+   the log as one frame under one fsync, and nothing is acknowledged
+   before this returns. *)
+let publish t records =
+  ignore (Aries.Wal.append_batch t.db_wal records : Aries.Wal.lsn list);
+  if t.commit_cost_us > 0.0 then begin
+    (* Busy-wait stand-in for a production engine's durable log flush. *)
+    let deadline = Unix.gettimeofday () +. (t.commit_cost_us *. 1e-6) in
+    while Unix.gettimeofday () < deadline do
+      ()
+    done
+  end
 
 let entries t =
   let flushed = List.map entry_of_row (Table_store.scan t.txn_table) in
@@ -374,7 +381,7 @@ let locate_txn t ~txn_id =
   in
   match hit with Some _ as e -> e | None -> find_entry t ~txn_id
 
-(* The in-memory half of a block close, shared by the logged, staged and
+(* The in-memory half of a block close, shared by the commit, digest and
    replay paths. *)
 let do_close_block t =
   if t.current_count > 0 then begin
@@ -430,18 +437,8 @@ let do_close_block t =
     t.current_count <- 0
   end
 
-let close_current_block t =
-  if t.current_count > 0 then begin
-    ignore
-      (Aries.Wal.append t.db_wal
-         (Aries.Log_record.Block_close
-            { block_id = t.current_block; closed_ts = t.last_commit })
-        : int);
-    do_close_block t
-  end
-
-(* Stage a block close: the in-memory effects happen now, the WAL record
-   is returned for the caller to publish. *)
+(* A block close's in-memory half now, its BLOCK_CLOSE record returned
+   for the caller to publish. *)
 let stage_block_close t =
   if t.current_count > 0 then begin
     let record =
@@ -453,50 +450,16 @@ let stage_block_close t =
   end
   else []
 
-let append_commit t ~txn_id ~commit_ts ~user ~table_roots =
-  let entry : Types.txn_entry =
-    {
-      txn_id;
-      block_id = t.current_block;
-      ordinal = t.current_count;
-      commit_ts;
-      user;
-      table_roots =
-        List.sort (fun (a, _) (b, _) -> compare a b) table_roots;
-    }
-  in
-  t.current_count <- t.current_count + 1;
-  t.last_commit <- commit_ts;
-  t.queue <- entry :: t.queue;
-  ignore
-    (Aries.Wal.append t.db_wal
-       (Aries.Log_record.Commit
-          {
-            txn_id;
-            commit_ts;
-            user;
-            block_id = entry.block_id;
-            ordinal = entry.ordinal;
-            table_roots = entry.table_roots;
-          })
-      : int);
-  if t.current_count >= t.db_block_size then close_current_block t;
-  if t.commit_cost_us > 0.0 then begin
-    (* Busy-wait stand-in for a durable log flush / group commit. *)
-    let deadline = Unix.gettimeofday () +. (t.commit_cost_us *. 1e-6) in
-    while Unix.gettimeofday () < deadline do
-      ()
-    done
-  end;
-  entry
+(* Durable before any digest anchors it: a lost BLOCK_CLOSE would reopen
+   the block, and the digest would stop verifying. On a broken log this
+   raises even when the block is empty. *)
+let close_current_block t = publish t (stage_block_close t)
 
-(* Validate-and-stage half of [append_commit] (group commit): every
-   in-memory effect happens now — ordinal assignment, queue push, block
-   close when the block fills — but the WAL records are returned instead
-   of appended, so a commit leader can publish many commits under a
-   single durability barrier. The records must reach the log, in order,
-   before any other record is appended; until then the commit is
-   acknowledged to nobody. *)
+(* Validate-and-stage half of a commit: every in-memory effect happens
+   now — ordinal assignment, queue push, block close when the block
+   fills — and the WAL records come back for [publish]. They must reach
+   the log, in order, before any other record is appended; until then
+   the commit is acknowledged to nobody. *)
 let stage_commit t ~txn_id ~commit_ts ~user ~table_roots =
   let entry : Types.txn_entry =
     {
@@ -544,15 +507,16 @@ let replay_block_close t =
   do_close_block t
 
 let checkpoint t =
-  List.iter
-    (fun e -> Table_store.insert t.txn_table (entry_to_row e))
-    (List.rev t.queue);
-  t.queue <- [];
+  (* The record first: on a broken log nothing is flushed to the table. *)
   let lsn = Aries.Wal.last_lsn t.db_wal in
   ignore
     (Aries.Wal.append t.db_wal
        (Aries.Log_record.Checkpoint { flushed_upto_lsn = lsn })
-      : int)
+      : int);
+  List.iter
+    (fun e -> Table_store.insert t.txn_table (entry_to_row e))
+    (List.rev t.queue);
+  t.queue <- []
 
 let generate_digest t ~time =
   close_current_block t;

@@ -6,7 +6,11 @@
     "database_ledger_transactions" system table at checkpoints. A block
     closes when it reaches [block_size] transactions or when a digest is
     generated, whichever comes first; closing computes the Merkle root over
-    the block's entry hashes and chains it to the previous block's hash. *)
+    the block's entry hashes and chains it to the previous block's hash.
+
+    A transaction gets its block and ordinal at commit, and its COMMIT
+    record carries them. Every commit, prepare, decision and block close
+    reaches the WAL through {!publish}: one frame and one fsync. *)
 
 type t
 
@@ -36,25 +40,17 @@ val attach_wal : t -> string -> unit
     Callers must persist a snapshot first — the old log's history is gone. *)
 
 val next_txn_id : t -> int
-(** Allocate a fresh transaction id (also logs BEGIN). *)
+(** Allocate a fresh transaction id. Nothing is logged: a transaction
+    reaches the WAL only when it commits or prepares. Raises the log's
+    failure when the WAL is broken — no transaction may begin on it. *)
 
-val stage_txn_id : t -> int
-(** Allocate a fresh transaction id without logging: staged (group-commit)
-    transactions defer every WAL record, including BEGIN, to the commit
-    leader. *)
-
-val log_abort : t -> txn_id:int -> unit
-
-val append_commit :
-  t ->
-  txn_id:int ->
-  commit_ts:float ->
-  user:string ->
-  table_roots:(int * string) list ->
-  Types.txn_entry
-(** Assign the transaction to the current block, append its entry to the
-    in-memory queue and write the COMMIT WAL record. Closes the block when
-    it becomes full. *)
+val publish : t -> Aries.Log_record.t list -> unit
+(** The durability point of every commit, prepare, decision and block
+    close: append the records as one {!Aries.Wal.append_batch} frame
+    under one fsync. A commit is acknowledged only after this returns.
+    Raises the log's first failure on a broken WAL; the in-memory effects
+    already staged cannot be unwound, so the caller serves nothing
+    written after the failure. *)
 
 val stage_commit :
   t ->
@@ -63,15 +59,12 @@ val stage_commit :
   user:string ->
   table_roots:(int * string) list ->
   Types.txn_entry * Aries.Log_record.t list
-(** The validate-and-stage half of {!append_commit} (group commit): every
-    in-memory effect happens now — ordinal assignment, queue push, block
-    close when the block fills — but the WAL records (COMMIT, then
-    BLOCK_CLOSE when the block filled) are returned instead of appended,
-    so a commit leader can publish many staged commits under one
-    durability barrier via {!Aries.Wal.append_batch}. The records must
-    reach the log in order before anything else is appended; a publish
-    failure is unrecoverable for this ledger instance (the staged state
-    cannot be unwound) and must be treated as a crash. *)
+(** The validate-and-stage half of a commit: every in-memory effect
+    happens now — ordinal assignment, queue push, block close when the
+    block fills — and the WAL records (COMMIT, then BLOCK_CLOSE when the
+    block filled) are returned for {!publish}, alone or in a commit
+    leader's batch. The records must reach the log in order before
+    anything else is appended. *)
 
 val accumulate_batch : t -> Types.txn_entry list -> unit
 (** Feed a published batch into the block accumulator: computes the
@@ -81,15 +74,17 @@ val accumulate_batch : t -> Types.txn_entry list -> unit
     cache, misses recompute. *)
 
 val checkpoint : t -> unit
-(** Flush queued entries to the transactions system table and log a
-    CHECKPOINT record. *)
+(** Log a CHECKPOINT record and flush queued entries to the transactions
+    system table. *)
 
 val close_current_block : t -> unit
-(** Force-close the current block if it contains transactions. *)
+(** Force-close the current block if it contains transactions, publishing
+    its BLOCK_CLOSE. Raises on a broken log, even for an empty block. *)
 
 val generate_digest : t -> time:float -> Digest.t option
 (** Close the current block (if non-empty) and return a digest of the
-    latest block; [None] when no transaction was ever committed. *)
+    latest block; [None] when no transaction was ever committed. Raises
+    on a broken log. *)
 
 val entry_hash : Types.txn_entry -> string
 (** Raw 32-byte hash of a transaction entry — LEDGERHASH over (txn_id,

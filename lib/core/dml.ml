@@ -345,18 +345,18 @@ type staged = {
 }
 
 (* Group commit: run an auto-commit statement but stop before the WAL
-   publish. The statement executes in its own staged transaction — all
-   in-memory effects are applied and the transaction is marked committed —
-   and the WAL records come back for a commit leader to publish in one
-   batch. [None] for statements with nothing to persist (SELECTs). The
-   caller must hold the engine's writer lock across the call and must
-   enqueue the records for publication before releasing it, so batch
-   order equals execution order. *)
+   publish. The statement executes in its own transaction — all in-memory
+   effects are applied and the transaction is marked committed — and the
+   WAL records come back for a commit leader to publish in one batch.
+   [None] for statements with nothing to persist (SELECTs). The caller
+   must hold the engine's writer lock across the call and must enqueue
+   the records for publication before releasing it, so batch order equals
+   execution order. *)
 let execute_statement_staged db ~user statement =
   match statement with
   | Ast.Select _ -> (execute_statement db ~user statement, None)
   | _ -> (
-      let txn = Database.begin_staged_txn db ~user in
+      let txn = Database.begin_txn db ~user in
       match execute_statement ~txn db ~user statement with
       | result ->
           let staged_entry, staged_records = Txn.stage_commit txn in

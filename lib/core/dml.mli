@@ -40,8 +40,8 @@ val execute_statement_staged :
     statement has nothing to persist (SELECT). The caller must hold the
     engine's writer lock across the call and enqueue the records for
     publication before releasing it, so that batch order equals execution
-    order; once staged, a publish failure must be treated as a crash. On
-    error the transaction is rolled back (logging nothing) and the
-    exception re-raised. *)
+    order; once staged, a publish failure breaks the log and nothing after
+    it may be served. On error the transaction is rolled back (logging
+    nothing) and the exception re-raised. *)
 
 val pp_result : Format.formatter -> result -> unit

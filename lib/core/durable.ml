@@ -101,32 +101,25 @@ let open_dir ?block_size ?signing_seed ?clock ~dir ~name () =
       Database_ledger.attach_wal (Database.ledger recovered) wal;
       (* The snapshot withholds in-doubt prepared transactions (replay
          never applied them), so restarting the log would lose their
-         votes. Re-append DATA + PREPARE so a second crash before the
+         votes. Re-publish DATA + PREPARE so a second crash before the
          coordinator's decision still recovers them in-doubt. *)
-      if in_doubt <> [] then begin
-        let w = Database_ledger.wal (Database.ledger recovered) in
-        List.iter
-          (fun (d : Wal_replay.in_doubt) ->
-            (match d.ops with
-            | Sjson.List [] -> ()
-            | ops ->
-                ignore
-                  (Aries.Wal.append w
-                     (Aries.Log_record.Data { txn_id = d.txn_id; ops })
-                    : int));
-            ignore
-              (Aries.Wal.append w
-                 (Aries.Log_record.Prepare
-                    {
-                      gid = d.gid;
-                      txn_id = d.txn_id;
-                      user = d.user;
-                      table_roots = d.table_roots;
-                    })
-                : int))
-          in_doubt;
-        Aries.Wal.sync w
-      end);
+      if in_doubt <> [] then
+        Database_ledger.publish (Database.ledger recovered)
+          (List.concat_map
+             (fun (d : Wal_replay.in_doubt) ->
+               (match d.ops with
+               | Sjson.List [] -> []
+               | ops -> [ Aries.Log_record.Data { txn_id = d.txn_id; ops } ])
+               @ [
+                   Aries.Log_record.Prepare
+                     {
+                       gid = d.gid;
+                       txn_id = d.txn_id;
+                       user = d.user;
+                       table_roots = d.table_roots;
+                     };
+                 ])
+             in_doubt));
   Ok { dd_dir = dir; dd_db = recovered; dd_in_doubt = in_doubt }
 
 let checkpoint t =

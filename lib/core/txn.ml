@@ -26,10 +26,6 @@ type t = {
   txn_id : int;
   txn_user : string;
   ledger : Database_ledger.t;
-  staged : bool;
-      (* Group commit: a staged transaction writes nothing to the WAL
-         itself — BEGIN, DATA and COMMIT are all returned by
-         [stage_commit] for a commit leader to publish as one batch. *)
   clock : unit -> float;
   scratch : Sha256.t;  (* reusable row-hash context, one per transaction *)
   mutable seq : int;
@@ -50,14 +46,14 @@ type savepoint = {
 let id t = t.txn_id
 let user t = t.txn_user
 let is_active t = t.state = Active
+let prepared_gid t = match t.state with Prepared gid -> Some gid | _ -> None
 let operation_count t = t.seq
 
-let make ~txn_id ~staged ~ledger ~user ~clock =
+let begin_txn ~ledger ~user ~clock =
   {
-    txn_id;
+    txn_id = Database_ledger.next_txn_id ledger;
     txn_user = user;
     ledger;
-    staged;
     clock;
     scratch = Sha256.init ();
     seq = 0;
@@ -67,14 +63,6 @@ let make ~txn_id ~staged ~ledger ~user ~clock =
     redo = [];
     state = Active;
   }
-
-let begin_txn ~ledger ~user ~clock =
-  make ~txn_id:(Database_ledger.next_txn_id ledger) ~staged:false ~ledger
-    ~user ~clock
-
-let begin_staged_txn ~ledger ~user ~clock =
-  make ~txn_id:(Database_ledger.stage_txn_id ledger) ~staged:true ~ledger
-    ~user ~clock
 
 let require_active t =
   match t.state with
@@ -253,136 +241,86 @@ let rollback_to t sp =
   t.seq <- sp.sp_seq
 
 let rollback t =
-  (* Aborting a prepared transaction is the coordinator's abort decision;
-     the ABORT record below is the decision marker recovery looks for. *)
-  (match t.state with Prepared _ -> () | _ -> require_active t);
+  let prepared = prepared_gid t <> None in
+  if not prepared then require_active t;
   List.iter apply_undo t.undo;
   t.undo <- [];
   t.undo_len <- 0;
   t.redo <- [];
   Hashtbl.reset t.trees;
   t.state <- Aborted;
-  (* A staged transaction never logged anything, so there is nothing to
-     mark aborted in the WAL; recovery cannot encounter it. *)
-  if not t.staged then Database_ledger.log_abort t.ledger ~txn_id:t.txn_id
+  (* Only a prepared transaction has reached the log. Its ABORT is the
+     coordinator's decision, acknowledged only once durable. *)
+  if prepared then
+    Database_ledger.publish t.ledger
+      [ Aries.Log_record.Abort { txn_id = t.txn_id } ]
 
-let commit t =
-  require_active t;
-  let table_roots =
-    Hashtbl.fold
-      (fun tid tree acc -> (tid, Merkle.Streaming.root tree) :: acc)
-      t.trees []
-  in
-  (* Log the transaction's logical redo before its COMMIT record, so replay
-     sees the data of every committed transaction (write-ahead). The JSON is
-     built here, once, from the lightweight op log. *)
-  if t.redo <> [] then
-    ignore
-      (Aries.Wal.append
-         (Database_ledger.wal t.ledger)
-         (Aries.Log_record.Data
-            {
-              txn_id = t.txn_id;
-              ops = Sjson.List (List.rev_map redo_to_json t.redo);
-            })
-        : int);
-  let entry =
-    Database_ledger.append_commit t.ledger ~txn_id:t.txn_id
-      ~commit_ts:(t.clock ()) ~user:t.txn_user ~table_roots
+let table_roots t =
+  Hashtbl.fold
+    (fun tid tree acc -> (tid, Merkle.Streaming.root tree) :: acc)
+    t.trees []
+
+(* BEGIN and the logical redo, built once from the lightweight op log. *)
+let opening_records t =
+  Aries.Log_record.Begin { txn_id = t.txn_id }
+  ::
+  (if t.redo = [] then []
+   else
+     [
+       Aries.Log_record.Data
+         {
+           txn_id = t.txn_id;
+           ops = Sjson.List (List.rev_map redo_to_json t.redo);
+         };
+     ])
+
+(* The ledger entry and its records (COMMIT, and BLOCK_CLOSE when the
+   block fills); the transaction is committed in the engine from here. *)
+let stage_ledger_commit t =
+  let staged =
+    Database_ledger.stage_commit t.ledger ~txn_id:t.txn_id
+      ~commit_ts:(t.clock ()) ~user:t.txn_user ~table_roots:(table_roots t)
   in
   t.state <- Committed;
-  entry
+  staged
 
-(* Validate-and-stage half of [commit] for staged (group-commit)
-   transactions: compute the table roots and build every WAL record —
-   BEGIN, the logical redo, COMMIT and any block close — without touching
-   the log. The in-memory ledger effects (ordinal assignment, queue push,
-   block close) happen now, so the records must be published before any
-   other record reaches the WAL, and a publish failure is a crash. *)
 let stage_commit t =
   require_active t;
-  if not t.staged then
-    Types.errorf "transaction %d was not begun staged" t.txn_id;
-  let table_roots =
-    Hashtbl.fold
-      (fun tid tree acc -> (tid, Merkle.Streaming.root tree) :: acc)
-      t.trees []
-  in
-  let data_records =
-    if t.redo = [] then []
-    else
-      [
-        Aries.Log_record.Data
-          {
-            txn_id = t.txn_id;
-            ops = Sjson.List (List.rev_map redo_to_json t.redo);
-          };
-      ]
-  in
-  let entry, ledger_records =
-    Database_ledger.stage_commit t.ledger ~txn_id:t.txn_id
-      ~commit_ts:(t.clock ()) ~user:t.txn_user ~table_roots
-  in
-  t.state <- Committed;
-  ( entry,
-    (Aries.Log_record.Begin { txn_id = t.txn_id } :: data_records)
-    @ ledger_records )
+  let entry, ledger_records = stage_ledger_commit t in
+  (entry, opening_records t @ ledger_records)
+
+let commit t =
+  let entry, records = stage_commit t in
+  Database_ledger.publish t.ledger records;
+  entry
 
 (* ------------------------------------------------------------------ *)
 (* Two-phase commit, participant side.
 
-   [prepare] is the write-ahead half of [commit]: the logical redo and a
-   PREPARE marker reach the WAL and are fsynced, but no COMMIT is
-   appended and the in-memory effects stay in place — the caller must
-   keep holding the write lock until the decision. [decide_commit] is
-   then a normal ledger commit (the COMMIT record doubles as the durable
-   decision marker, because replay only applies DATA for txn_ids that
-   have one); [rollback] of a prepared transaction is the abort decision
-   (its ABORT record is the marker). *)
+   [prepare] publishes the transaction's BEGIN, redo and a PREPARE marker
+   as one batch, but no COMMIT, and leaves the in-memory effects in place
+   — the caller must keep holding the write lock until the decision.
+   [decide_commit] then publishes the COMMIT record, which doubles as the
+   durable decision marker (replay only applies DATA for txn_ids that
+   have one); [rollback] of a prepared transaction publishes its ABORT. *)
 
 let prepare t ~gid =
   require_active t;
-  if t.staged then
-    Types.errorf "transaction %d is staged and cannot be prepared" t.txn_id;
-  let table_roots =
-    Hashtbl.fold
-      (fun tid tree acc -> (tid, Merkle.Streaming.root tree) :: acc)
-      t.trees []
-  in
-  let wal = Database_ledger.wal t.ledger in
-  if t.redo <> [] then
-    ignore
-      (Aries.Wal.append wal
-         (Aries.Log_record.Data
-            {
-              txn_id = t.txn_id;
-              ops = Sjson.List (List.rev_map redo_to_json t.redo);
-            })
-        : int);
-  ignore
-    (Aries.Wal.append wal
-       (Aries.Log_record.Prepare
-          { gid; txn_id = t.txn_id; user = t.txn_user; table_roots })
-      : int);
-  Aries.Wal.sync wal;
+  let table_roots = table_roots t in
+  Database_ledger.publish t.ledger
+    (opening_records t
+    @ [
+        Aries.Log_record.Prepare
+          { gid; txn_id = t.txn_id; user = t.txn_user; table_roots };
+      ]);
   t.state <- Prepared gid;
   table_roots
-
-let prepared_gid t = match t.state with Prepared gid -> Some gid | _ -> None
 
 let decide_commit t =
   match t.state with
   | Prepared _ ->
-      let table_roots =
-        Hashtbl.fold
-          (fun tid tree acc -> (tid, Merkle.Streaming.root tree) :: acc)
-          t.trees []
-      in
-      let entry =
-        Database_ledger.append_commit t.ledger ~txn_id:t.txn_id
-          ~commit_ts:(t.clock ()) ~user:t.txn_user ~table_roots
-      in
-      t.state <- Committed;
+      let entry, records = stage_ledger_commit t in
+      Database_ledger.publish t.ledger records;
       entry
   | _ -> Types.errorf "transaction %d is not prepared" t.txn_id
 

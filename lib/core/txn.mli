@@ -10,7 +10,12 @@
 
     The engine executes transactions one at a time (changes apply in place
     with an undo log); concurrency control is out of scope for this
-    reproduction and orthogonal to the ledger design. *)
+    reproduction and orthogonal to the ledger design.
+
+    A transaction writes nothing to the WAL until it commits or prepares.
+    Then its records — BEGIN, DATA when it wrote, and COMMIT (plus
+    BLOCK_CLOSE when the block fills) or PREPARE — go out as one batch
+    through {!Database_ledger.publish}: one frame and one fsync. *)
 
 type t
 
@@ -21,13 +26,7 @@ val user : t -> string
 val is_active : t -> bool
 
 val begin_txn : ledger:Database_ledger.t -> user:string -> clock:(unit -> float) -> t
-
-val begin_staged_txn :
-  ledger:Database_ledger.t -> user:string -> clock:(unit -> float) -> t
-(** Like {!begin_txn}, but the transaction is *staged* (group commit): it
-    writes nothing to the WAL itself. Its BEGIN record — like its DATA and
-    COMMIT — is produced by {!stage_commit} for a commit leader to publish
-    as one batch; rolling back a staged transaction logs nothing. *)
+(** Raises the log's failure on a broken WAL ({!Database_ledger.next_txn_id}). *)
 
 (** {1 DML on ledger tables} *)
 
@@ -58,44 +57,44 @@ val rollback_to : t -> savepoint -> unit
     outer savepoint invalidates inner ones. *)
 
 val rollback : t -> unit
-(** Abort: undo everything, log ABORT. *)
+(** Abort: undo everything. Logs nothing, unless the transaction is
+    prepared: then its ABORT is published. *)
 
 val commit : t -> Types.txn_entry
-(** Compute the per-table Merkle roots, append the entry to the Database
-    Ledger and return it. *)
+(** {!stage_commit}, then {!Database_ledger.publish} of its records:
+    returns the transaction's ledger entry once it is durable. *)
 
 val stage_commit : t -> Types.txn_entry * Aries.Log_record.t list
-(** The validate-and-stage half of {!commit} for transactions begun with
-    {!begin_staged_txn}: computes the table roots, performs every
-    in-memory ledger effect, marks the transaction committed, and returns
-    the entry together with the WAL records (BEGIN, DATA when the
-    transaction wrote, COMMIT, and a BLOCK_CLOSE when the block filled)
-    for a commit leader to publish under a single durability barrier.
+(** The validate-and-stage half of {!commit}: computes the table roots,
+    performs every in-memory ledger effect, marks the transaction
+    committed, and returns the entry together with the WAL records
+    (BEGIN, DATA when the transaction wrote, COMMIT, and a BLOCK_CLOSE
+    when the block filled) for a commit leader to publish in its batch.
     The records must reach the log, in order, before any other record is
-    appended; a publish failure cannot be rolled back and must be treated
-    as a crash. Raises {!Types.Ledger_error} on non-staged transactions. *)
+    appended; a publish failure cannot be rolled back, and the log it
+    broke refuses everything after it. *)
 
 (** {1 Two-phase commit (participant side)} *)
 
 val prepare : t -> gid:string -> (int * string) list
-(** Vote yes in a two-phase commit: append the transaction's logical redo
-    and a PREPARE marker to the WAL, fsync, and freeze the transaction —
-    further DML raises until a decision. The in-memory effects stay in
-    place, so the caller must keep holding the write lock across the
-    in-doubt window. Returns the per-table Merkle roots recorded in the
-    marker. Raises {!Types.Ledger_error} on staged or inactive
+(** Vote yes in a two-phase commit: publish the transaction's BEGIN,
+    logical redo and a PREPARE marker as one batch, and freeze the
+    transaction — further DML raises until a decision. The in-memory
+    effects stay in place, so the caller must keep holding the write lock
+    across the in-doubt window. Returns the per-table Merkle roots
+    recorded in the marker. Raises {!Types.Ledger_error} on inactive
     transactions. *)
 
 val prepared_gid : t -> string option
 (** The global transaction id this transaction is prepared under, if any. *)
 
 val decide_commit : t -> Types.txn_entry
-(** The coordinator decided commit: append the COMMIT record (which is the
-    durable decision marker) and the ledger entry, exactly like {!commit}.
+(** The coordinator decided commit: publish the COMMIT record (which is
+    the durable decision marker) with the ledger entry, like {!commit}.
     Raises {!Types.Ledger_error} unless the transaction is prepared. *)
 
-(** Aborting a prepared transaction is {!rollback}: its ABORT record is
-    the durable abort-decision marker. *)
+(** Aborting a prepared transaction is {!rollback}: its published ABORT
+    record is the durable abort-decision marker. *)
 
 val table_root : t -> Ledger_table.t -> string
 (** Current Merkle root of this transaction's updates to the given table

@@ -213,8 +213,7 @@ let open_dir ?(clock = Unix.gettimeofday) ?(backoff_min = 0.1)
   let* replica = build_replica ~clock ~dir records in
   let wal =
     Aries.Wal.create ~path:wal_path ~append:true
-      ~first_lsn:(Replica.last_lsn replica + 1)
-      ~sync_commits:false ()
+      ~first_lsn:(Replica.last_lsn replica + 1) ()
   in
   Ok
     {
@@ -260,7 +259,7 @@ let install_snapshot t ~with_write json ~last_lsn:snap_lsn =
           Aries.Wal.close t.c_wal;
           t.c_wal <-
             Aries.Wal.create ~path:(Durable.wal_path t.c_dir)
-              ~first_lsn:(snap_lsn + 1) ~sync_commits:false ();
+              ~first_lsn:(snap_lsn + 1) ();
           Replica.install_snapshot t.c_replica db ~last_lsn:snap_lsn);
       Ok ()
 

@@ -5,11 +5,12 @@
    lock (`Dml.execute_statement_staged`), enqueue the staged WAL records
    here *before releasing the lock*, then release it and wait. The first
    waiter that finds no active leader becomes the leader: it sleeps a
-   short coalescing window, drains the queue FIFO, appends every staged
-   record as one batch-atomic WAL frame under a single fsync
-   (`Wal.append_batch`), feeds the batch's entries to the ledger's block
-   accumulator (`Database_ledger.accumulate_batch`), and only then wakes
-   the batch's waiters. The expensive part of commit — the durability
+   short coalescing window (none at window 0), drains the queue FIFO,
+   publishes every staged record as one batch-atomic WAL frame under a
+   single fsync (`Database_ledger.publish`, the engine's one durability
+   point), feeds the batch's entries to the ledger's block accumulator
+   (`Database_ledger.accumulate_batch`), and only then wakes the batch's
+   waiters. The expensive part of commit — the durability
    barrier — thus runs *outside* the engine lock, overlapped with the
    execution of the next batch, and its cost is shared by every commit in
    the batch.
@@ -22,12 +23,12 @@
      order — reordering two transactions' writes would corrupt replay).
 
    - The WAL is single-writer. The leader appends without holding the
-     engine lock, so every other code path that appends WAL records
-     directly (explicit BEGIN...COMMIT sessions, DDL, checkpoints,
-     digests — they log immediately) must call [flush] after acquiring
-     the writer lock and before its first append. While the caller holds
-     the writer lock no new ticket can arrive, so after [flush] the log
-     is quiescent until the lock is released.
+     engine lock, so every other code path that writes WAL records
+     (explicit BEGIN...COMMIT sessions, DDL, checkpoints, digests, 2PC
+     decisions) must call [flush] after acquiring the writer lock and
+     before its first append. While the caller holds the writer lock no
+     new ticket can arrive, so after [flush] the log is quiescent until
+     the lock is released.
 
    - The leader is also the snapshot publisher: each ticket carries a
      COW [Database.snapshot] captured at enqueue (under the writer
@@ -36,13 +37,12 @@
      swap of the served read view. Readers therefore observe only
      durable state, and always their own acked writes.
 
-   - A publish failure poisons the queue: the staged commits are already
-     applied in the engine and cannot be unwound, so the failed batch's
-     waiters and every later submitter get the same exception, and no
-     further batch is ever attempted (a later batch succeeding would
-     leave an acknowledged-ordinal gap on disk). The server treats this
-     like a crash of the durability layer: fail loudly, accept no more
-     commits. *)
+   - A publish failure breaks the log (`Aries.Wal`'s fsyncgate rule): the
+     staged commits are already applied in the engine and cannot be
+     unwound, so the failed batch's waiters get the exception, and every
+     later batch — and every later writer on any path — gets the same one
+     from the log, so no later commit can leave an acknowledged-ordinal
+     gap on disk. No snapshot is installed after the failure. *)
 
 type state = Pending | Done | Failed of exn
 
@@ -69,7 +69,6 @@ type t = {
   mutable pending : ticket list;  (* newest first *)
   mutable n_pending : int;  (* length of [pending], kept for O(1) depth *)
   mutable leading : bool;
-  mutable poisoned : exn option;
 }
 
 let create ?(on_publish = fun _ -> ()) ~window ~ledger ~metrics () =
@@ -83,8 +82,9 @@ let create ?(on_publish = fun _ -> ()) ~window ~ledger ~metrics () =
     pending = [];
     n_pending = 0;
     leading = false;
-    poisoned = None;
   }
+
+let window t = t.window
 
 (* Lock-free-ish depth probe for admission control: a torn read costs an
    admission decision one ticket of accuracy, nothing more. *)
@@ -94,26 +94,22 @@ let depth t = t.n_pending
    so does the snapshot — captured under the lock, it cannot contain a
    later commit's half-staged effects. *)
 let enqueue t ~entry ~records ~snapshot =
-  Mutex.lock t.m;
-  match t.poisoned with
-  | Some e ->
-      Mutex.unlock t.m;
-      raise e
-  | None ->
-      let ticket =
-        {
-          t_entry = entry;
-          t_records = records;
-          t_snapshot = snapshot;
-          t_state = Pending;
-        }
-      in
-      t.pending <- ticket :: t.pending;
-      t.n_pending <- t.n_pending + 1;
-      let depth_now = t.n_pending in
-      Mutex.unlock t.m;
-      Metrics.high_water t.metrics "commit.queue_depth" depth_now;
-      ticket
+  let ticket =
+    {
+      t_entry = entry;
+      t_records = records;
+      t_snapshot = snapshot;
+      t_state = Pending;
+    }
+  in
+  let depth_now =
+    Mutex.protect t.m (fun () ->
+        t.pending <- ticket :: t.pending;
+        t.n_pending <- t.n_pending + 1;
+        t.n_pending)
+  in
+  Metrics.high_water t.metrics "commit.queue_depth" depth_now;
+  ticket
 
 (* Leader-side coalescing: sleep in short slices, cutting the batch as
    soon as arrivals stall; the window is a hard deadline that bounds
@@ -140,56 +136,40 @@ let wait_window t =
   in
   go (pending_count ())
 
-(* Publish everything pending as one batch. Called with [t.m] held and
-   [t.leading] set; releases the mutex around the I/O and re-acquires it
-   before returning. *)
+(* Publish everything pending (at least one ticket) as one batch. Called
+   with [t.m] held and [t.leading] set; releases the mutex around the I/O
+   and re-acquires it before returning. *)
 let publish t =
-  let batch = List.rev t.pending in
+  let batch = List.rev t.pending and newest = List.hd t.pending in
   t.pending <- [];
   t.n_pending <- 0;
-  let poisoned = t.poisoned in
   Mutex.unlock t.m;
   let result =
-    match poisoned with
-    | Some e -> Error e
-    | None -> (
-        try
-          let t0 = Unix.gettimeofday () in
-          let records = List.concat_map (fun k -> k.t_records) batch in
-          ignore
-            (Aries.Wal.append_batch
-               (Sql_ledger.Database_ledger.wal t.ledger)
-               records
-              : int list);
-          Sql_ledger.Database_ledger.accumulate_batch t.ledger
-            (List.map (fun k -> k.t_entry) batch);
-          let us = (Unix.gettimeofday () -. t0) *. 1e6 in
-          Metrics.record t.metrics ~kind:"commit.flush_latency" ~error:false
-            ~us;
-          Metrics.record t.metrics ~kind:"commit.batch_size" ~error:false
-            ~us:(float_of_int (List.length batch));
-          (* The whole batch is durable: publish the newest ticket's
-             snapshot (it contains every commit in the batch) as the
-             served read view. Leaders are serialized by [t.leading] and
-             direct writers serialize against them through [flush], so
-             installs are ordered. Publishing before the waiters wake
-             means a session that gets its ack always finds its own
-             write in the next snapshot it reads (read-your-writes). *)
-          let rec newest = function
-            | [ k ] -> Some k
-            | _ :: tl -> newest tl
-            | [] -> None
-          in
-          Option.iter (fun k -> t.on_publish k.t_snapshot) (newest batch);
-          Ok ()
-        with e -> Error e)
+    try
+      let t0 = Unix.gettimeofday () in
+      Sql_ledger.Database_ledger.publish t.ledger
+        (List.concat_map (fun k -> k.t_records) batch);
+      Sql_ledger.Database_ledger.accumulate_batch t.ledger
+        (List.map (fun k -> k.t_entry) batch);
+      let us = (Unix.gettimeofday () -. t0) *. 1e6 in
+      Metrics.record t.metrics ~kind:"commit.flush_latency" ~error:false
+        ~us;
+      Metrics.record t.metrics ~kind:"commit.batch_size" ~error:false
+        ~us:(float_of_int (List.length batch));
+      (* The whole batch is durable: publish the newest ticket's
+         snapshot (it contains every commit in the batch) as the
+         served read view. Leaders are serialized by [t.leading] and
+         writers under the engine lock serialize against them through
+         [flush], so installs are ordered. Publishing before the waiters wake
+         means a session that gets its ack always finds its own
+         write in the next snapshot it reads (read-your-writes). *)
+      t.on_publish newest.t_snapshot;
+      Ok ()
+    with e -> Error e
   in
   Mutex.lock t.m;
-  (match result with
-  | Ok () -> List.iter (fun k -> k.t_state <- Done) batch
-  | Error e ->
-      List.iter (fun k -> k.t_state <- Failed e) batch;
-      t.poisoned <- Some e)
+  let state = match result with Ok () -> Done | Error e -> Failed e in
+  List.iter (fun k -> k.t_state <- state) batch
 (* No broadcast here: both callers clear [leading] and broadcast once,
    still under [t.m], so each batch costs one wakeup storm, not two. *)
 
@@ -227,10 +207,10 @@ let await t ticket =
 (* Drain the queue completely, publishing without a coalescing window.
    Callers hold the engine's writer lock (so no new ticket can arrive) or
    have joined every session (server drain); either way the queue is
-   empty and idle when this returns, and the WAL is safe to append to
-   directly until the caller's exclusion ends. Never raises: a poisoned
-   queue has already resolved every ticket, and the caller's own WAL
-   append will surface the broken log. *)
+   empty and idle when this returns, and the caller may write the WAL
+   until its exclusion ends. Never raises: a failed
+   batch resolves its own tickets, and the caller's own WAL write will
+   surface the broken log. *)
 let flush t =
   Mutex.lock t.m;
   let rec loop () =

@@ -8,14 +8,20 @@
    [Database.t] built on the copy-on-write B+trees and swapped in with a
    single atomic store:
 
-   - group-commit mode: each staged commit captures a snapshot at
+   - auto-commit statements: each staged commit captures a snapshot at
      enqueue (under the writer lock); the commit leader installs the
      batch's newest snapshot after the batch's fsync, so readers only
      ever observe durable state;
-   - direct writers (explicit COMMIT/ROLLBACK, DDL, checkpoint, digest,
-     the legacy commit-per-fsync path): publish at writer-lock release;
+   - every other writer (explicit COMMIT/ROLLBACK, DDL, checkpoint,
+     digest, 2PC decisions): publish at writer-lock release, after its
+     own publish returned;
    - the replica node publishes after each applied batch via
      [refresh_snapshot].
+
+   Once the primary's WAL breaks (a write or an fsync failed), the live
+   database holds effects that never became durable: no snapshot is
+   installed again, so readers keep the last state published before the
+   failure, and every writer is refused.
 
    Sessions are the unit of transaction state. An explicit BEGIN takes
    the exclusive lock and parks the open [Txn.t] on the session, so the
@@ -43,8 +49,7 @@ module Protocol = Wire.Protocol
 type backend =
   | Primary of {
       durable : Durable.t;
-      queue : Commit_queue.t option;
-          (* group commit; [None] runs the legacy commit-per-fsync path *)
+      queue : Commit_queue.t;  (* every auto-commit statement commits here *)
       repl : Repl.Manager.t option;
       digests : Trusted_store.Digest_manager.t option;
     }
@@ -90,7 +95,6 @@ type t = {
   max_inflight : int;
   max_queue_depth : int;
   inflight : int Atomic.t;
-  gc_window : float;  (* group-commit window, sizes the retry-after hint *)
   prepared : (string, prepared_txn) Hashtbl.t;  (* gid -> awaiting decision *)
   prepared_mu : Mutex.t;
   recovered_hold : int ref;
@@ -127,19 +131,16 @@ let create ?(group_commit_window = 0.0) ?(max_inflight = 0)
   let snap = Atomic.make None in
   let batch_seq = Atomic.make 0 in
   let queue =
-    if group_commit_window > 0.0 then
-      Some
-        (Commit_queue.create ~window:group_commit_window
-           ~ledger:(Database.ledger (Durable.db durable))
-           ~metrics
-           ~on_publish:(fun db ->
-             (* Leader-side install, after the batch's fsync. The bump
-                then the swap: a snapshot installed here is exactly
-                [batch_seq] batches deep, age 0. *)
-             let seq = 1 + Atomic.fetch_and_add batch_seq 1 in
-             Atomic.set snap (Some { p_db = db; p_seq = seq }))
-           ())
-    else None
+    Commit_queue.create ~window:group_commit_window
+      ~ledger:(Database.ledger (Durable.db durable))
+      ~metrics
+      ~on_publish:(fun db ->
+        (* Leader-side install, after the batch's fsync. The bump then
+           the swap: a snapshot installed here is exactly [batch_seq]
+           batches deep, age 0. *)
+        let seq = 1 + Atomic.fetch_and_add batch_seq 1 in
+        Atomic.set snap (Some { p_db = db; p_seq = seq }))
+      ()
   in
   (* The boot state is the recovered database: publish it before the
      first connection so readers are lock-free from the first request. *)
@@ -158,7 +159,6 @@ let create ?(group_commit_window = 0.0) ?(max_inflight = 0)
       max_inflight;
       max_queue_depth;
       inflight = Atomic.make 0;
-      gc_window = group_commit_window;
       prepared = Hashtbl.create 4;
       prepared_mu = Mutex.create ();
       recovered_hold = ref 0;
@@ -200,22 +200,32 @@ let create_replica ?auth_secret ~lock ~get_db ~primary ~metrics ~server_name
     max_inflight = 0;
     max_queue_depth = 0;
     inflight = Atomic.make 0;
-    gc_window = 0.0;
     prepared = Hashtbl.create 1;
     prepared_mu = Mutex.create ();
     recovered_hold = ref 0;
   }
 
 let queue t =
-  match t.backend with Primary { queue; _ } -> queue | Replica_view _ -> None
+  match t.backend with
+  | Primary { queue; _ } -> Some queue
+  | Replica_view _ -> None
 
-(* Direct WAL writers — explicit transactions, DDL, checkpoints, digests
-   (they append records immediately) — must drain the commit queue once
-   they hold the writer lock: the commit leader appends to the WAL
-   without holding the engine lock, and its batches must reach the log
-   before any record logged here. While the writer lock is held no new
-   ticket can be enqueued, so the log stays quiescent until release. *)
+(* Every writer that holds the writer lock — explicit transactions, DDL,
+   checkpoints, digests — must drain the commit queue first: the commit
+   leader appends to the WAL without holding the engine lock, and its
+   batches must reach the log before any record written here. While the
+   writer lock is held no new ticket can be enqueued, so the log stays
+   quiescent until release. *)
 let flush_queue t = Option.iter Commit_queue.flush (queue t)
+
+(* The primary's broken-log exception, if its WAL has failed a write or
+   an fsync (the ledger's WAL handle is re-read: compaction swaps it). *)
+let log_failure t =
+  match t.backend with
+  | Primary { durable; _ } ->
+      Aries.Wal.broken
+        (Database_ledger.wal (Database.ledger (Durable.db durable)))
+  | Replica_view _ -> None
 
 let new_session ~id =
   {
@@ -261,6 +271,10 @@ let err_retry code ~retry_after_ms fmt =
       Protocol.Error_r { code; message; retry_after_ms = Some retry_after_ms; map_epoch = None })
     fmt
 
+let read_only primary =
+  err Protocol.Read_only "replica is read-only; writes go to the primary at %s"
+    primary
+
 (* Lock acquisitions are timed into power-of-two histograms so a bench
    (or an operator) can prove readers no longer queue behind writers:
    [lock.read_wait_us] is the cost of acquiring read access — the atomic
@@ -276,14 +290,15 @@ let lock_write_timed t =
 (* Publish the live database's current state as the served read view.
    Caller must hold the writer lock: capture needs a quiescent engine,
    and the lock is also what orders this install against the commit
-   leader's (flush-then-mutate-then-publish, see [with_write]). *)
+   leader's (flush-then-mutate-then-publish, see [with_write]). Nothing
+   is installed once the log has broken. *)
 let publish_snapshot t =
   match (try Some (db t) with Not_synced -> None) with
-  | None -> ()
-  | Some live ->
+  | Some live when log_failure t = None ->
       Atomic.set t.snap
         (Some
            { p_db = Database.snapshot live; p_seq = Atomic.get t.batch_seq })
+  | _ -> ()
 
 (* Replica apply path: the node calls this after each applied batch (and
    after installing a bootstrap snapshot) while still holding the writer
@@ -335,6 +350,7 @@ let with_write t s f =
              writers is refused before any of its work happens. *)
           if past_deadline s then raise Deadline_blown;
           flush_queue t;
+          Option.iter raise (log_failure t);
           f ())
 
 let rows_of_rel rel =
@@ -344,9 +360,9 @@ let rows_of_rel rel =
       rows = List.map Relation.Row.to_list rel.Sqlexec.Rel.rows;
     }
 
-(* [txn_id] is the autocommitted statement's transaction id when the
-   group-commit path staged one — returned so the client can fetch the
-   transaction's receipt later without a lookup query. *)
+(* [txn_id] is the auto-committed statement's transaction id — returned
+   so the client can fetch the transaction's receipt later without a
+   lookup query. *)
 let result_to_response ?txn_id = function
   | Dml.Rows rel -> rows_of_rel rel
   | Dml.Affected n -> Protocol.Affected_r { rows = n; txn_id }
@@ -395,57 +411,52 @@ let exec_sql t s sql =
   guard t (fun () ->
       let statement = Sqlexec.Parser.parse_statement sql in
       note_temporal t statement;
-      let run () =
-        result_to_response
-          (Dml.execute_statement ?txn:s.s_txn (db t) ~user:s.s_user statement)
-      in
-      match statement with
-      | Sqlexec.Ast.Select _ ->
+      match (statement, s.s_txn, t.backend) with
+      | Sqlexec.Ast.Select _, _, _ ->
           with_read t s (fun view ->
               result_to_response
                 (Dml.execute_statement ?txn:s.s_txn view ~user:s.s_user
                    statement))
-      | _ -> (
-          match (s.s_txn, queue t) with
-          | Some _, _ | None, None -> with_write t s run
-          | None, Some q ->
-              (* Group commit: execute and stage under the exclusive
-                 lock, enqueue — with a COW snapshot of the staged state
-                 — before releasing it (batch order = execution order),
-                 then wait for the commit leader to publish the batch
-                 under one fsync. The leader installs the batch's newest
-                 snapshot as the served read view, so by the time this
-                 request is acked its write is visible to every
-                 subsequent lock-free read. *)
-              lock_write_timed t;
-              note_queue_wait t s;
-              let outcome =
-                try
-                  if past_deadline s then raise Deadline_blown;
-                  let result, staged =
-                    Dml.execute_statement_staged (db t) ~user:s.s_user
-                      statement
-                  in
-                  let ticket =
-                    Option.map
-                      (fun (st : Dml.staged) ->
-                        ( Commit_queue.enqueue q ~entry:st.staged_entry
-                            ~records:st.staged_records
-                            ~snapshot:(Database.snapshot (db t)),
-                          st.staged_entry.Types.txn_id ))
-                      staged
-                  in
-                  Ok (result, ticket)
-                with e -> Error e
+      | _, Some txn, _ ->
+          result_to_response
+            (Dml.execute_statement ~txn (db t) ~user:s.s_user statement)
+      | _, None, Replica_view { primary; _ } -> read_only primary
+      | _, None, Primary { queue = q; _ } -> (
+          (* Auto-commit: execute and stage under the exclusive lock,
+             enqueue — with a COW snapshot of the staged state — before
+             releasing it (batch order = execution order), then wait for
+             the commit leader to publish the batch under one fsync. The
+             leader installs the batch's newest snapshot as the served
+             read view, so by the time this request is acked its write is
+             visible to every subsequent lock-free read. *)
+          lock_write_timed t;
+          note_queue_wait t s;
+          let outcome =
+            try
+              if past_deadline s then raise Deadline_blown;
+              let result, staged =
+                Dml.execute_statement_staged (db t) ~user:s.s_user statement
               in
-              Rwlock.unlock_write t.lock;
-              (match outcome with
-              | Error e -> raise e
-              | Ok (result, ticket) ->
-                  Option.iter (fun (ticket, _) -> Commit_queue.await q ticket)
-                    ticket;
-                  let txn_id = Option.map snd ticket in
-                  result_to_response ?txn_id result)))
+              let ticket =
+                Option.map
+                  (fun (st : Dml.staged) ->
+                    ( Commit_queue.enqueue q ~entry:st.staged_entry
+                        ~records:st.staged_records
+                        ~snapshot:(Database.snapshot (db t)),
+                      st.staged_entry.Types.txn_id ))
+                  staged
+              in
+              Ok (result, ticket)
+            with e -> Error e
+          in
+          Rwlock.unlock_write t.lock;
+          match outcome with
+          | Error e -> raise e
+          | Ok (result, ticket) ->
+              Option.iter
+                (fun (ticket, _) -> Commit_queue.await q ticket)
+                ticket;
+              result_to_response ?txn_id:(Option.map snd ticket) result))
 
 let query_sql t s sql =
   guard t (fun () ->
@@ -462,22 +473,24 @@ let begin_txn t s =
   match s.s_txn with
   | Some txn ->
       err Protocol.Txn_state "transaction %d is already open" (Txn.id txn)
-  | None ->
+  | None -> (
       lock_write_timed t;
       note_queue_wait t s;
-      if past_deadline s then begin
-        Rwlock.unlock_write t.lock;
-        guard t (fun () -> raise Deadline_blown)
-      end
-      else begin
-        (* The explicit transaction logs BEGIN now and holds the lock
-           until COMMIT/ROLLBACK, so one flush here keeps the WAL
-           quiescent for the transaction's whole lifetime. *)
+      (* The explicit transaction holds the lock until COMMIT/ROLLBACK, so
+         one flush here keeps the WAL quiescent for its whole lifetime. A
+         begin that fails (a spent deadline, a broken log) must not keep
+         the lock. *)
+      match
+        if past_deadline s then raise Deadline_blown;
         flush_queue t;
-        let txn = Database.begin_txn (db t) ~user:s.s_user in
-        s.s_txn <- Some txn;
-        Protocol.Txn_r { txn_id = Some (Txn.id txn) }
-      end
+        Database.begin_txn (db t) ~user:s.s_user
+      with
+      | txn ->
+          s.s_txn <- Some txn;
+          Protocol.Txn_r { txn_id = Some (Txn.id txn) }
+      | exception e ->
+          Rwlock.unlock_write t.lock;
+          guard t (fun () -> raise e))
 
 let end_txn t s ~commit =
   match s.s_txn with
@@ -844,7 +857,9 @@ let prepare_txn t s ~gid =
    ledger commit (the COMMIT record is the durable decision marker);
    commit of a [Recovered] one re-applies the redo recovery withheld.
    Either way the writer lock finally releases and the outcome becomes
-   the published read view. *)
+   the published read view. On a broken log no decision can become
+   durable: it is refused, and the gid stays prepared so that a re-sent
+   decision is refused too, never acked. *)
 let decide_txn t ~gid ~commit =
   let entry = Mutex.protect t.prepared_mu (fun () ->
       Hashtbl.find_opt t.prepared gid)
@@ -853,43 +868,56 @@ let decide_txn t ~gid ~commit =
   | None -> Protocol.Ok_r
   | Some entry ->
       guard t (fun () ->
-          (match entry with
-          | Live txn ->
-              if commit then ignore (Txn.decide_commit txn : Types.txn_entry)
-              else Txn.rollback txn;
-              Mutex.protect t.prepared_mu (fun () ->
-                  Hashtbl.remove t.prepared gid);
-              publish_snapshot t;
-              Rwlock.unlock_write t.lock
-          | Recovered d ->
-              let dbl = Database.ledger (db t) in
-              if commit then begin
-                (match
-                   Wal_replay.apply_committed_ops (db t) ~txn_id:d.txn_id
-                     d.ops
-                 with
-                | Ok () -> ()
-                | Error e ->
-                    Types.errorf
-                      "redo of recovered prepared transaction %s failed: %s"
-                      gid e);
-                ignore
-                  (Database_ledger.append_commit dbl ~txn_id:d.txn_id
-                     ~commit_ts:(Unix.gettimeofday ()) ~user:d.user
-                     ~table_roots:d.table_roots
-                    : Types.txn_entry)
-              end
-              else Database_ledger.log_abort dbl ~txn_id:d.txn_id;
-              let release =
-                Mutex.protect t.prepared_mu (fun () ->
-                    Hashtbl.remove t.prepared gid;
-                    decr t.recovered_hold;
-                    !(t.recovered_hold) = 0)
-              in
-              if release then begin
-                publish_snapshot t;
-                Rwlock.unlock_write t.lock
-              end);
+          Option.iter raise (log_failure t);
+          (try
+             match entry with
+             | Live txn ->
+                 if commit then
+                   ignore (Txn.decide_commit txn : Types.txn_entry)
+                 else Txn.rollback txn;
+                 Mutex.protect t.prepared_mu (fun () ->
+                     Hashtbl.remove t.prepared gid);
+                 publish_snapshot t;
+                 Rwlock.unlock_write t.lock
+             | Recovered d ->
+                 let dbl = Database.ledger (db t) in
+                 if commit then begin
+                   (match
+                      Wal_replay.apply_committed_ops (db t) ~txn_id:d.txn_id
+                        d.ops
+                    with
+                   | Ok () -> ()
+                   | Error e ->
+                       Types.errorf
+                         "redo of recovered prepared transaction %s failed: %s"
+                         gid e);
+                   let _, records =
+                     Database_ledger.stage_commit dbl ~txn_id:d.txn_id
+                       ~commit_ts:(Unix.gettimeofday ()) ~user:d.user
+                       ~table_roots:d.table_roots
+                   in
+                   Database_ledger.publish dbl records
+                 end
+                 else
+                   Database_ledger.publish dbl
+                     [ Aries.Log_record.Abort { txn_id = d.txn_id } ];
+                 let release =
+                   Mutex.protect t.prepared_mu (fun () ->
+                       Hashtbl.remove t.prepared gid;
+                       decr t.recovered_hold;
+                       !(t.recovered_hold) = 0)
+                 in
+                 if release then begin
+                   publish_snapshot t;
+                   Rwlock.unlock_write t.lock
+                 end
+           with e when log_failure t <> None ->
+             (* This decision broke the log. Release the writer lock the
+                prepared transaction held, so that every later writer is
+                refused instead of waiting for it, and the drain can end;
+                the check above keeps it from being released twice. *)
+             Rwlock.unlock_write t.lock;
+             raise e);
           Metrics.bump t.metrics
             (if commit then "server.decide_commit" else "server.decide_abort");
           Protocol.Ok_r)
@@ -947,12 +975,16 @@ let is_overloaded t =
      | None -> false
 
 (* Retry-after hint: roughly how long until the backlog drains — the
-   group-commit window (or a small constant without one) scaled by the
+   group-commit window (or a small constant at window 0) scaled by the
    queue depth, capped at a second so a transient spike does not park
    clients for long. *)
 let retry_after_ms t =
-  let depth = match queue t with Some q -> Commit_queue.depth q | None -> 0 in
-  let base = if t.gc_window > 0.0 then t.gc_window else 0.005 in
+  let window, depth =
+    match queue t with
+    | Some q -> (Commit_queue.window q, Commit_queue.depth q)
+    | None -> (0.0, 0)
+  in
+  let base = if window > 0.0 then window else 0.005 in
   max 1
     (int_of_float
        (ceil (1000. *. Float.min 1.0 (base *. float_of_int (1 + depth)))))
@@ -1002,10 +1034,7 @@ let dispatch t s req =
     when (match t.backend with Replica_view _ -> true | Primary _ -> false)
          && is_write_shaped req -> (
       match t.backend with
-      | Replica_view { primary; _ } ->
-          ( err Protocol.Read_only
-              "replica is read-only; writes go to the primary at %s" primary,
-            `Keep )
+      | Replica_view { primary; _ } -> (read_only primary, `Keep)
       | Primary _ -> assert false)
   | req when sheds_under_overload s req && is_overloaded t ->
       Metrics.bump t.metrics "server.shed";

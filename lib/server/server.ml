@@ -34,9 +34,9 @@ type config = {
   idle_timeout : float;  (** seconds between requests; 0 = unlimited *)
   request_timeout : float;  (** seconds for one whole frame; 0 = unlimited *)
   group_commit_window : float;
-      (** seconds the commit leader coalesces concurrent auto-commit
-          writers into one batched WAL append + fsync; 0 disables group
-          commit (every commit pays its own fsync, the legacy path) *)
+      (** seconds the commit leader lingers to coalesce concurrent
+          auto-commit writers into one batched WAL append + fsync; 0 means
+          no linger (the leader publishes whatever is queued at once) *)
   heartbeat_interval : float;
       (** seconds between replication heartbeats on an idle stream *)
   max_inflight : int;
@@ -342,16 +342,19 @@ let run ?(dump_metrics_to = stderr) t =
         Metrics.dump t.metrics dump_metrics_to)
     ~after_drain:(fun () ->
       (* Durability point of the drain: publish any batch still queued,
-         then force everything appended onto disk. (A replica read port
-         owns no durable state; its replication client syncs its own
-         log.) *)
-      Dispatch.flush_queue t.disp;
-      Option.iter
-        (fun durable ->
-          Aries.Wal.sync
-            (Database_ledger.wal (Database.ledger (Durable.db durable))))
-        t.durable;
-      Metrics.dump t.metrics dump_metrics_to)
+         then force everything appended onto disk — on a broken log the
+         sync re-raises its failure, and [run] with it. (A replica read
+         port owns no durable state; its replication client syncs its
+         own log.) *)
+      Fun.protect
+        ~finally:(fun () -> Metrics.dump t.metrics dump_metrics_to)
+        (fun () ->
+          Dispatch.flush_queue t.disp;
+          Option.iter
+            (fun durable ->
+              Aries.Wal.sync
+                (Database_ledger.wal (Database.ledger (Durable.db durable))))
+            t.durable))
 
 (* Convenience for tests and bench: run in a background thread, stop it
    later with [shutdown]. *)

@@ -8,8 +8,8 @@ type lsn = int
      first record continues the old numbering), which is what lets
      recovery line a snapshot's recorded position up against the log tail.
 
-   - A batch (group commit): several records share one frame and one
-     durability barrier:
+   - A batch: every record of one publish (a transaction's records, or a
+     group commit's many transactions) shares one frame and one fsync:
 
        @CCCCCCCC LLL FFF N PLEN {"type":...} PLEN {"type":...} ...
                      \_/ | \________________/
@@ -19,8 +19,8 @@ type lsn = int
 
      The records take LSNs [first .. first+N-1]. Because the batch is one
      checksummed frame, a crash mid-append tears the whole batch — recovery
-     can never observe a prefix of it, which is what makes group commit
-     batch-atomic.
+     can never observe a prefix of it, which is what makes every publish
+     atomic.
 
    The frame's CRC tells a torn tail (crash mid-append: dropped) from
    corruption in the middle of the file (loading fails loudly). *)
@@ -31,21 +31,20 @@ type t = {
   channel : out_channel option;
   line_buf : Buffer.t;  (* reused across appends; one frame body each *)
   batch_buf : Buffer.t;  (* scratch for one payload while batch-framing *)
-  sync_commits : bool;
+  mutable broken : exn option;
+      (* the first write or fsync that raised; see [guarded] *)
 }
 
 let point_append = "wal.append"
-let point_sync = "wal.sync"
 let point_batch_append = "wal.batch_append"
 let point_batch_sync = "wal.batch_sync"
 
 let () =
   Fault.register point_append;
-  Fault.register point_sync;
   Fault.register point_batch_append;
   Fault.register point_batch_sync
 
-let create ?path ?(append = false) ?(first_lsn = 1) ?(sync_commits = true) () =
+let create ?path ?(append = false) ?(first_lsn = 1) () =
   let channel =
     Option.map
       (fun p ->
@@ -59,78 +58,71 @@ let create ?path ?(append = false) ?(first_lsn = 1) ?(sync_commits = true) () =
     channel;
     line_buf = Buffer.create 256;
     batch_buf = Buffer.create 256;
-    sync_commits;
+    broken = None;
   }
 
-let append t record =
+let broken t = t.broken
+
+(* The fsyncgate rule: after a write or an fsync fails, what reached the
+   disk is unknowable (the kernel may have dropped the dirty pages and
+   cleared the error), so the log accepts nothing more. The first
+   exception breaks it, and every later append, batch or sync re-raises
+   that same exception. A record joins [entries] — where replication
+   tails it — only once its write has succeeded. *)
+let guarded t write =
+  Option.iter raise t.broken;
+  match t.channel with
+  | None -> ()
+  | Some oc -> (
+      try write oc
+      with e ->
+        t.broken <- Some e;
+        raise e)
+
+let push t record =
   let lsn = t.next_lsn in
   t.next_lsn <- lsn + 1;
   t.entries <- (lsn, record) :: t.entries;
-  (match t.channel with
-  | Some oc ->
-      let body = t.line_buf in
-      Buffer.clear body;
-      Buffer.add_string body (string_of_int lsn);
-      Buffer.add_char body ' ';
-      Sjson.write body (Log_record.to_json record);
-      Fault.Crc_frame.output point_append oc ~tag:'#' body;
-      (* Durability point: a transaction is committed once its COMMIT
-         record is on stable storage, so commit records are synced. *)
-      (match record with
-      | Log_record.Commit _ when t.sync_commits ->
-          flush oc;
-          Fault.trip point_sync;
-          Fault.Fsutil.fsync_channel oc
-      | _ -> flush oc)
-  | None -> ());
   lsn
 
+(* A frame body, started with its first field: the next record's LSN. *)
+let start_body t =
+  let body = t.line_buf in
+  Buffer.clear body;
+  Buffer.add_string body (string_of_int t.next_lsn);
+  Buffer.add_char body ' ';
+  body
+
+let append t record =
+  guarded t (fun oc ->
+      let body = start_body t in
+      Sjson.write body (Log_record.to_json record);
+      Fault.Crc_frame.output point_append oc ~tag:'#' body;
+      flush oc);
+  push t record
+
 let append_batch t batch =
-  match batch with
-  | [] -> []
-  | _ ->
-      let first = t.next_lsn in
-      let lsns =
-        List.map
+  guarded t (fun oc ->
+      if batch <> [] then begin
+        let body = start_body t in
+        Buffer.add_string body (string_of_int (List.length batch));
+        let scratch = t.batch_buf in
+        List.iter
           (fun record ->
-            let lsn = t.next_lsn in
-            t.next_lsn <- lsn + 1;
-            t.entries <- (lsn, record) :: t.entries;
-            lsn)
-          batch
-      in
-      (match t.channel with
-      | Some oc ->
-          let body = t.line_buf in
-          Buffer.clear body;
-          Buffer.add_string body (string_of_int first);
-          Buffer.add_char body ' ';
-          Buffer.add_string body (string_of_int (List.length batch));
-          let scratch = t.batch_buf in
-          List.iter
-            (fun record ->
-              Buffer.clear scratch;
-              Sjson.write scratch (Log_record.to_json record);
-              Buffer.add_char body ' ';
-              Buffer.add_string body (string_of_int (Buffer.length scratch));
-              Buffer.add_char body ' ';
-              Buffer.add_buffer body scratch)
-            batch;
-          Fault.Crc_frame.output point_batch_append oc ~tag:'@' body;
-          flush oc;
-          (* Single durability barrier for the whole batch: one fsync
-             covers every commit in it. *)
-          if
-            t.sync_commits
-            && List.exists
-                 (function Log_record.Commit _ -> true | _ -> false)
-                 batch
-          then begin
-            Fault.trip point_batch_sync;
-            Fault.Fsutil.fsync_channel oc
-          end
-      | None -> ());
-      lsns
+            Buffer.clear scratch;
+            Sjson.write scratch (Log_record.to_json record);
+            Buffer.add_char body ' ';
+            Buffer.add_string body (string_of_int (Buffer.length scratch));
+            Buffer.add_char body ' ';
+            Buffer.add_buffer body scratch)
+          batch;
+        Fault.Crc_frame.output point_batch_append oc ~tag:'@' body;
+        flush oc;
+        (* The batch's one durability barrier. *)
+        Fault.trip point_batch_sync;
+        Fault.Fsutil.fsync_channel oc
+      end);
+  List.map (push t) batch
 
 let last_lsn t = t.next_lsn - 1
 
@@ -159,10 +151,9 @@ let first_available t =
   in
   last t.entries
 
-(* Force everything appended so far onto stable storage (the server's
-   graceful-shutdown barrier; per-commit durability is handled inline by
-   [append]). *)
-let sync t = Option.iter Fault.Fsutil.fsync_channel t.channel
+(* Force everything appended so far onto stable storage: the drain's
+   barrier, and the replica's after each applied batch. *)
+let sync t = guarded t Fault.Fsutil.fsync_channel
 
 let close t = Option.iter close_out t.channel
 

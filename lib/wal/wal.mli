@@ -3,21 +3,20 @@
     The log lives in memory and can additionally be mirrored to a file (one
     record per line), which is what crash-recovery replays. On-disk records
     are {!Fault.Crc_frame} frames: [#crc32 len lsn payload] for one record,
-    [@crc32 len first_lsn count ...] for a group-commit batch, so that
-    recovery can tell a torn tail (crash mid-append) from corruption in the
-    middle of the file. *)
+    [@crc32 len first_lsn count ...] for a batch, so that recovery can tell
+    a torn tail (crash mid-append) from corruption in the middle of the
+    file.
+
+    Only {!append_batch} fsyncs: it is the durability point of every
+    transaction. A file-backed log follows the fsyncgate rule: the first
+    write or fsync that raises breaks the log, and every later {!append},
+    {!append_batch} or {!sync} re-raises that first exception. *)
 
 type t
 
 type lsn = int
 
-val create :
-  ?path:string ->
-  ?append:bool ->
-  ?first_lsn:lsn ->
-  ?sync_commits:bool ->
-  unit ->
-  t
+val create : ?path:string -> ?append:bool -> ?first_lsn:lsn -> unit -> t
 (** When [path] is given, every append is written through and flushed to the
     file (truncating any existing file, unless [append] is set — then new
     records are written after the existing contents, which the caller is
@@ -25,24 +24,25 @@ val create :
     continue; the replica's durable copy reopens this way). [first_lsn]
     (default 1) is the LSN the next append receives — compaction passes the
     continuation of the previous log's numbering so LSNs stay globally
-    monotonic across truncations. When [sync_commits] is true (the
-    default), appending a [Commit] record additionally fsyncs the file:
-    that is the durability point of a transaction. *)
+    monotonic across truncations. *)
 
 val append : t -> Log_record.t -> lsn
-(** Durably append a record; returns its LSN. Writes are routed through the
-    ["wal.append"] / ["wal.sync"] failpoints. *)
+(** Write and flush one [#] frame, without an fsync; returns its LSN. The
+    next {!append_batch} or {!sync} makes it durable. Writes go through the
+    ["wal.append"] failpoint. *)
 
 val append_batch : t -> Log_record.t list -> lsn list
-(** Group commit: append several records as one batch-atomic frame
-    ([@crc len first_lsn count plen payload ...]) sharing a single
-    durability barrier — if the batch contains a [Commit] record and
-    [sync_commits] is set, exactly one fsync covers the whole batch.
-    Because the frame is one checksummed line, a crash mid-append tears
-    the entire batch: recovery replays either all of it or none of it,
-    never a prefix. Returns the records' consecutive LSNs. Writes are
-    routed through the ["wal.batch_append"] / ["wal.batch_sync"]
-    failpoints. [append_batch t []] is a no-op. *)
+(** Append the records as one [@] frame
+    ([@crc len first_lsn count plen payload ...]) and fsync once. Because
+    the frame is one checksummed line, a crash mid-append tears the whole
+    batch: recovery replays either all of it or none of it, never a
+    prefix. Returns the records' consecutive LSNs. Writes go through the
+    ["wal.batch_append"] failpoint, the fsync through ["wal.batch_sync"].
+    [append_batch t []] writes nothing, but still raises on a broken
+    log. *)
+
+val broken : t -> exn option
+(** The exception that broke the log, if a write or fsync has failed. *)
 
 val last_lsn : t -> lsn
 (** [first_lsn - 1] when empty (0 for a fresh log). *)
@@ -67,8 +67,8 @@ val first_available : t -> lsn option
 
 val sync : t -> unit
 (** Flush and fsync the backing file (no-op for in-memory logs): the
-    durability barrier of the server's graceful shutdown. Per-commit
-    durability is already handled inline by {!append}. *)
+    barrier of the server's drain and of the replica's applied batches.
+    Commits are made durable by {!append_batch}. *)
 
 val close : t -> unit
 

@@ -9,7 +9,8 @@
    - the reopened database accepts new work.
 
    Seed and trial count come from CRASH_MATRIX_SEED / CRASH_MATRIX_TRIALS
-   so CI can pin a fixed seed and a nightly sweep can widen the search. *)
+   so CI can pin a fixed seed and a nightly sweep can widen the search.
+   The suite prints both at start, and every failure names them. *)
 
 open Sql_ledger
 open Testkit
@@ -24,6 +25,13 @@ let getenv_int name default =
 
 let seed = getenv_int "CRASH_MATRIX_SEED" 0xC0FFEE
 let trials = getenv_int "CRASH_MATRIX_TRIALS" 200
+
+let failf fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Alcotest.failf "%s [CRASH_MATRIX_SEED=%d CRASH_MATRIX_TRIALS=%d]" msg
+        seed trials)
+    fmt
 
 (* ------------------------------------------------------------------ *)
 (* Temp directories *)
@@ -68,7 +76,7 @@ let table_rows db =
       |> List.map (fun row ->
              match (row.(0), row.(1)) with
              | Relation.Value.String name, Relation.Value.Int bal -> (name, bal)
-             | _ -> Alcotest.fail "unexpected accounts row shape")
+             | _ -> failf "unexpected accounts row shape")
       |> List.sort compare
 
 type world = {
@@ -111,7 +119,7 @@ let check_recovered_state ~what w db =
     Option.iter (apply_op plus) w.pending;
     let expected_plus = model_rows plus in
     if actual <> expected_plus then
-      Alcotest.failf
+      failf
         "%s: recovered table matches neither the committed model (%d rows) \
          nor model+pending (%d rows); got %d rows"
         what (List.length expected) (List.length expected_plus)
@@ -133,25 +141,18 @@ let expected_points =
     "wal.append";
     "wal.batch_append";
     "wal.batch_sync";
-    "wal.sync";
     "worm.mirror.fsync";
     "worm.mirror.rename";
     "worm.mirror.rename_prev";
     "worm.mirror.write";
   ]
 
-(* The batch points only fire on the group-commit path, which the
-   per-commit workload above never takes; they get their own scenario
-   below instead of a seat in the generic matrix. *)
-let batch_points = [ "wal.batch_append"; "wal.batch_sync" ]
-let scan_points = List.filter (fun p -> not (List.mem p batch_points)) expected_points
-
 let test_all_points_registered () =
   let registered = Fault.points () in
   List.iter
     (fun p ->
       if not (List.mem p registered) then
-        Alcotest.failf "failpoint %s is not registered" p)
+        failf "failpoint %s is not registered" p)
     expected_points
 
 (* One full life: baseline work, arm the failpoint, keep working through
@@ -165,7 +166,7 @@ let run_scenario point mode scenario_seed =
       let open_dir () =
         match Durable.open_dir ~clock:(make_clock ()) ~dir ~name:"torture" () with
         | Ok t -> t
-        | Error e -> Alcotest.failf "%s/%s: open_dir: %s" point
+        | Error e -> failf "%s/%s: open_dir: %s" point
                        (Fault.mode_to_string mode) e
       in
       (* Baseline: committed work that must survive anything below. *)
@@ -204,7 +205,7 @@ let run_scenario point mode scenario_seed =
                        (Digest.to_string (fresh_digest db))
                    with
                    | Ok () -> ()
-                   | Error e -> Alcotest.failf "worm append refused: %s" e)
+                   | Error e -> failf "worm append refused: %s" e)
          done
        with Fault.Injected_crash _ -> ());
       Fault.reset ();
@@ -214,7 +215,7 @@ let run_scenario point mode scenario_seed =
       let what = point ^ "/" ^ Fault.mode_to_string mode in
       check_recovered_state ~what w db2;
       if not (Verifier.ok (Verifier.verify db2 ~digests:[ baseline_digest ]))
-      then Alcotest.failf "%s: recovered ledger failed verification" what;
+      then failf "%s: recovered ledger failed verification" what;
       (* Resolve the in-doubt operation against what actually recovered:
          if its commit record made it to disk, it is now part of history. *)
       (match w.pending with
@@ -234,16 +235,16 @@ let run_scenario point mode scenario_seed =
       if Sys.file_exists mirror then begin
         let contents = In_channel.with_open_bin mirror In_channel.input_all in
         if contents <> "" && contents.[String.length contents - 1] <> '\n'
-        then Alcotest.failf "%s: torn WORM mirror file" what
+        then failf "%s: torn WORM mirror file" what
       end)
 
-(* Error-mode is skipped for wal.sync: a failed commit-record fsync leaves
-   the commit's durability unknowable, which no caller can safely "handle
-   and continue" (the fsyncgate lesson) — only the crash modes are
-   meaningful there. *)
+(* Error-mode is skipped for wal.batch_sync: a failed commit fsync leaves
+   the commit's durability unknowable — its frame is already written, so
+   it may well survive — which no caller can "handle and continue" (the
+   fsyncgate lesson); only the crash modes are meaningful there. *)
 let modes_for point =
   let crash_modes = [ Fault.Crash_after 0; Fault.Crash_after 37 ] in
-  if point = "wal.sync" then crash_modes else Fault.Fail :: crash_modes
+  if point = "wal.batch_sync" then crash_modes else Fault.Fail :: crash_modes
 
 let matrix_cases =
   List.concat_map
@@ -254,18 +255,18 @@ let matrix_cases =
           Alcotest.test_case name `Quick (fun () ->
               run_scenario point mode (seed lxor Hashtbl.hash name)))
         (modes_for point))
-    scan_points
+    expected_points
 
 (* ------------------------------------------------------------------ *)
 (* Group-commit batch boundaries
 
    Drive commits the way the server's commit leader does — stage each
-   transaction, then publish several at once through [Wal.append_batch]
-   and [Database_ledger.accumulate_batch] — with the batch failpoints
-   armed. The batch frame is a single checksummed WAL line, so recovery
-   must observe each batch all-or-nothing: the committed model, or the
-   committed model plus the *entire* batch in flight, never a prefix of
-   it. *)
+   transaction, then publish several at once through
+   [Database_ledger.publish] and [Database_ledger.accumulate_batch] —
+   with the batch failpoints armed. The batch frame is a single
+   checksummed WAL line, so recovery must observe each batch
+   all-or-nothing: the committed model, or the committed model plus the
+   *entire* batch in flight, never a prefix of it. *)
 
 (* Conflict-free random batch: ops are generated against a scratch view
    that applies them as they are drawn, so a batch never updates a row an
@@ -294,7 +295,7 @@ let commit_batch db accounts w ops =
   let staged =
     List.map
       (fun op ->
-        let txn = Database.begin_staged_txn db ~user:"torture" in
+        let txn = Database.begin_txn db ~user:"torture" in
         (match op with
         | Insert (name, bal) -> Txn.insert txn accounts [| vs name; vi bal |]
         | Update (name, bal) ->
@@ -304,10 +305,7 @@ let commit_batch db accounts w ops =
       ops
   in
   let ledger = Database.ledger db in
-  ignore
-    (Aries.Wal.append_batch (Database_ledger.wal ledger)
-       (List.concat_map snd staged)
-      : int list);
+  Database_ledger.publish ledger (List.concat_map snd staged);
   Database_ledger.accumulate_batch ledger (List.map fst staged);
   List.iter (apply_op w.model) ops
 
@@ -317,7 +315,7 @@ let check_recovered_batch ~what w pending db =
     let plus = Hashtbl.copy w.model in
     List.iter (apply_op plus) pending;
     if actual <> model_rows plus then
-      Alcotest.failf
+      failf
         "%s: recovered table is neither the pre-batch state (%d committed \
          ops pending none) nor the state with the whole %d-op batch — a \
          batch prefix leaked through recovery"
@@ -335,7 +333,7 @@ let run_batch_scenario point mode scenario_seed =
         with
         | Ok t -> t
         | Error e ->
-            Alcotest.failf "%s/%s: open_dir: %s" point
+            failf "%s/%s: open_dir: %s" point
               (Fault.mode_to_string mode) e
       in
       let t = open_dir () in
@@ -347,10 +345,9 @@ let run_batch_scenario point mode scenario_seed =
       done;
       let baseline_digest = fresh_digest db in
       Fault.set point mode;
-      (* Publish batches until the fault fires. An injected error poisons
-         the engine the same way it poisons the server's commit queue —
-         in-memory state is ahead of the log, no further commits are
-         legal — so both modes end the phase at the failure. *)
+      (* Publish batches until the fault fires. An injected error breaks
+         the log — in-memory state is ahead of it, and every later write
+         re-raises the failure — so both modes end the phase there. *)
       let pending = ref [] in
       (try
          for _ = 1 to 10 do
@@ -366,7 +363,7 @@ let run_batch_scenario point mode scenario_seed =
       let what = point ^ "/" ^ Fault.mode_to_string mode in
       check_recovered_batch ~what w !pending db2;
       if not (Verifier.ok (Verifier.verify db2 ~digests:[ baseline_digest ]))
-      then Alcotest.failf "%s: recovered ledger failed verification" what;
+      then failf "%s: recovered ledger failed verification" what;
       (* Resolve the in-doubt batch against what actually recovered. *)
       if table_rows db2 <> model_rows w.model then
         List.iter (apply_op w.model) !pending;
@@ -407,7 +404,7 @@ let test_tpcc_crash_midway () =
       let open_dir () =
         match Durable.open_dir ~clock:(make_clock ()) ~dir ~name:"tpcc" () with
         | Ok t -> t
-        | Error e -> Alcotest.failf "open_dir: %s" e
+        | Error e -> failf "open_dir: %s" e
       in
       let t = open_dir () in
       let cfg =
@@ -422,19 +419,19 @@ let test_tpcc_crash_midway () =
       let tp = Workload.Tpcc.setup (Durable.db t) cfg in
       let prng = Prng.create seed in
       ignore (Workload.Tpcc.run tp ~prng ~transactions:10);
-      (* Tear the log partway through a later transaction's records. *)
-      Fault.set "wal.append" (Fault.Crash_after 200);
+      (* Tear the log partway through a later transaction's batch. *)
+      Fault.set "wal.batch_append" (Fault.Crash_after 200);
       (try ignore (Workload.Tpcc.run tp ~prng ~transactions:50)
        with Fault.Injected_crash _ -> ());
       Fault.reset ();
       let t2 = open_dir () in
       let db2 = Durable.db t2 in
       if not (Verifier.ok (Verifier.verify db2 ~digests:[]))
-      then Alcotest.fail "recovered TPC-C ledger failed verification";
+      then failf "recovered TPC-C ledger failed verification";
       (* And a second recovery of the recovered state is stable. *)
       let t3 = open_dir () in
       if not (Verifier.ok (Verifier.verify (Durable.db t3) ~digests:[]))
-      then Alcotest.fail "re-recovered TPC-C ledger failed verification")
+      then failf "re-recovered TPC-C ledger failed verification")
 
 (* ------------------------------------------------------------------ *)
 (* Random WAL-tail truncation sweep *)
@@ -445,7 +442,7 @@ let build_reference dir =
   let t =
     match Durable.open_dir ~clock:(make_clock ()) ~dir ~name:"sweep" () with
     | Ok t -> t
-    | Error e -> Alcotest.failf "open_dir: %s" e
+    | Error e -> failf "open_dir: %s" e
   in
   let db = Durable.db t in
   let accounts = make_accounts db in
@@ -459,7 +456,7 @@ let build_reference dir =
 
 let committed_names_in_wal txn_to_name path =
   match Aries.Wal.load path with
-  | Error e -> Alcotest.failf "truncated WAL must stay loadable: %s" e
+  | Error e -> failf "truncated WAL must stay loadable: %s" e
   | Ok records ->
       List.filter_map
         (fun (_, r) ->
@@ -491,7 +488,7 @@ let test_truncation_sweep () =
             let expected = committed_names_in_wal txn_to_name wal in
             match Durable.open_dir ~clock:(make_clock ()) ~dir ~name:"sweep" () with
             | Error e ->
-                Alcotest.failf "trial %d (cut %d/%d): reopen failed: %s" trial
+                failf "trial %d (cut %d/%d): reopen failed: %s" trial
                   cut size e
             | Ok t ->
                 let db = Durable.db t in
@@ -499,7 +496,7 @@ let test_truncation_sweep () =
                    database with no accounts table: actual = []. *)
                 let actual = List.map fst (table_rows db) in
                 if actual <> expected then
-                  Alcotest.failf
+                  failf
                     "trial %d (cut %d/%d): %d accounts recovered, %d \
                      committed in surviving prefix"
                     trial cut size (List.length actual)
@@ -508,7 +505,7 @@ let test_truncation_sweep () =
                   actual <> []
                   && not (Verifier.ok (Verifier.verify db ~digests:[]))
                 then
-                  Alcotest.failf "trial %d (cut %d/%d): verification failed"
+                  failf "trial %d (cut %d/%d): verification failed"
                     trial cut size)
       done)
 
@@ -522,7 +519,7 @@ let test_batch_truncation_sweep () =
           Durable.open_dir ~clock:(make_clock ()) ~dir:ref_dir ~name:"bsweep" ()
         with
         | Ok t -> t
-        | Error e -> Alcotest.failf "open_dir: %s" e
+        | Error e -> failf "open_dir: %s" e
       in
       let db = Durable.db t in
       let accounts = make_accounts db in
@@ -551,7 +548,7 @@ let test_batch_truncation_sweep () =
               Durable.open_dir ~clock:(make_clock ()) ~dir ~name:"bsweep" ()
             with
             | Error e ->
-                Alcotest.failf "trial %d (cut %d/%d): reopen failed: %s" trial
+                failf "trial %d (cut %d/%d): reopen failed: %s" trial
                   cut size e
             | Ok t ->
                 let actual = List.map fst (table_rows (Durable.db t)) in
@@ -565,13 +562,15 @@ let test_batch_truncation_sweep () =
                 in
                 let legal = prefixes [] [] batches in
                 if not (List.mem (List.sort compare actual) legal) then
-                  Alcotest.failf
+                  failf
                     "trial %d (cut %d/%d): recovered %d accounts, not a \
                      whole-batch prefix"
                     trial cut size (List.length actual))
       done)
 
 let () =
+  Printf.printf "crash matrix: CRASH_MATRIX_SEED=%d CRASH_MATRIX_TRIALS=%d\n%!"
+    seed trials;
   Alcotest.run "crash-matrix"
     [
       ("registry", [ Alcotest.test_case "all points registered" `Quick

@@ -56,7 +56,7 @@ let test_tail_cursor () =
   let path = Filename.temp_file "tail" ".log" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  let w = Aries.Wal.create ~path ~sync_commits:false () in
+  let w = Aries.Wal.create ~path () in
   for i = 1 to 5 do
     ignore (Aries.Wal.append w (LR.Begin { txn_id = i }) : int)
   done;
@@ -115,7 +115,7 @@ let test_tail_resume_after () =
   let path = Filename.temp_file "tail" ".log" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  let w = Aries.Wal.create ~path ~sync_commits:false () in
+  let w = Aries.Wal.create ~path () in
   for i = 1 to 6 do
     ignore (Aries.Wal.append w (LR.Begin { txn_id = i }) : int)
   done;

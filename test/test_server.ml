@@ -18,10 +18,10 @@ open Sql_ledger
    EPIPE errors, not kill the test binary. *)
 let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
-(* GROUP_COMMIT_WINDOW_MS overrides the commit mode for the whole suite
-   ("0" = legacy fsync-per-commit, anything positive = group commit with
-   that coalescing window), so CI can run these sessions in both modes
-   without a second test binary. *)
+(* GROUP_COMMIT_WINDOW_MS overrides the group-commit window for the whole
+   suite ("0" = no linger: the commit leader publishes what is queued at
+   once; anything positive = linger up to that long to coalesce), so CI
+   can run these sessions in both modes without a second test binary. *)
 let base_config =
   match Sys.getenv_opt "GROUP_COMMIT_WINDOW_MS" with
   | None -> Server.default_config
@@ -201,6 +201,33 @@ let test_e2e_flow () =
       | r -> Alcotest.fail ("verify returned " ^ Protocol.response_kind r));
       Client.close c)
 
+let digest_of client =
+  match call client Protocol.Digest with
+  | Protocol.Digest_r j -> j
+  | r -> Alcotest.fail ("digest returned " ^ Protocol.response_kind r)
+
+(* Every auto-commit is answered with its transaction id, in either
+   commit mode, so a client can ask for the receipt of its own write. *)
+let test_exec_txn_id () =
+  with_server (fun ~dir:_ ~port _srv ->
+      let c = connect port in
+      create_accounts c;
+      let txn_id =
+        match insert c "Nick" 50 with
+        | Protocol.Affected_r { txn_id = Some id; _ } -> id
+        | r -> Alcotest.fail ("insert answered without a txn_id: " ^ Protocol.response_kind r)
+      in
+      ignore (digest_of c : Sjson.t);
+      (match call c (Protocol.Receipt { txn_id }) with
+      | Protocol.Receipt_r j -> (
+          match Receipt.of_json j with
+          | Ok r ->
+              Alcotest.(check int) "receipt is for the insert" txn_id
+                r.Receipt.entry.Types.txn_id
+          | Error e -> Alcotest.fail ("receipt does not parse: " ^ e))
+      | r -> Alcotest.fail ("receipt returned " ^ Protocol.response_kind r));
+      Client.close c)
+
 let test_concurrent_sessions () =
   with_server (fun ~dir:_ ~port _srv ->
       let c0 = connect port in
@@ -324,6 +351,92 @@ let test_graceful_shutdown_mid_txn () =
         (List.length rel.Sqlexec.Rel.rows);
       Alcotest.(check bool) "reopened ledger verifies" true
         (Verifier.ok (Verifier.verify db ~digests:[])))
+
+(* A publish that fails breaks the log: the failing commit is refused,
+   and so is every later writer on every path, while readers keep the
+   last durable state. What the drained server leaves reopens to exactly
+   the acked rows and verifies against the digest issued before the
+   failure. [failing] picks the publish that fails: a queued auto-commit,
+   an explicit COMMIT (which the client then tries to roll back), or the
+   commit decision of a prepared transaction (which holds the writer lock
+   until it is decided). Later calls carry a deadline, so a writer left
+   waiting for the lock fails the test instead of hanging it. *)
+let test_failed_publish ~failing () =
+  let refused what resp =
+    if not (Protocol.response_is_error resp) then
+      Alcotest.failf "%s was acked after the log broke" what
+  in
+  let call_within client req =
+    match Client.call ~deadline_s:5.0 client req with
+    | Ok resp -> resp
+    | Error e -> Alcotest.fail ("no answer after the log broke: " ^ e)
+  in
+  let dir = Filename.temp_dir "sqlledger-test-server" "" in
+  let config = { base_config with port = 0; dir } in
+  let srv =
+    match Server.start ~config () with
+    | Ok s -> s
+    | Error e -> Alcotest.fail (Server.start_error_to_string e)
+  in
+  let th = Server.run_async srv in
+  let port = Server.port srv in
+  let c = connect port in
+  create_accounts c;
+  expect_ok "acked insert" (insert c "Kept" 1);
+  let digest = digest_of c in
+  expect_ok "acked insert after the digest" (insert c "Also" 2);
+  Fun.protect ~finally:Fault.reset (fun () ->
+      match failing with
+      | `Auto_commit ->
+          Fault.set "wal.batch_append" Fault.Fail;
+          refused "the failing auto-commit" (insert c "Doomed" 3)
+      | `Commit ->
+          expect_ok "begin" (call c Protocol.Begin);
+          expect_ok "insert in txn" (insert c "Doomed" 3);
+          Fault.set "wal.batch_append" Fault.Fail;
+          refused "the failing commit" (call c Protocol.Commit);
+          refused "a rollback after the failed commit"
+            (call c Protocol.Rollback)
+      | `Decision ->
+          let decide = Protocol.Decide { gid = "g1"; commit = true } in
+          expect_ok "begin" (call c Protocol.Begin);
+          expect_ok "insert in txn" (insert c "Doomed" 3);
+          expect_ok "prepare" (call c (Protocol.Prepare { gid = "g1" }));
+          Fault.set "wal.batch_append" Fault.Fail;
+          refused "the failing decision" (call c decide);
+          refused "a re-sent decision" (call_within c decide));
+  Client.close c;
+  let d = connect port in
+  refused "a later auto-commit"
+    (call_within d
+       (Protocol.Exec { sql = "INSERT INTO accounts VALUES ('Later', 4)" }));
+  refused "begin" (call_within d Protocol.Begin);
+  refused "checkpoint" (call_within d Protocol.Checkpoint);
+  refused "digest" (call_within d Protocol.Digest);
+  Alcotest.(check int) "reads serve exactly the acked rows" 2 (count_rows d);
+  Client.close d;
+  Server.shutdown srv th;
+  match Durable.open_dir ~dir ~name:"served" () with
+  | Error e -> Alcotest.fail ("reopen failed: " ^ e)
+  | Ok durable ->
+      let db = Durable.db durable in
+      let names =
+        List.map
+          (fun row -> row.(0))
+          (Database.query db "SELECT name FROM accounts").Sqlexec.Rel.rows
+        |> List.sort compare
+      in
+      Alcotest.(check (list string)) "the reopened table holds the acked rows"
+        [ "Also"; "Kept" ]
+        (List.map Relation.Value.to_string names);
+      let digest =
+        match Digest.of_json digest with
+        | Ok d -> d
+        | Error e -> Alcotest.fail ("digest does not parse: " ^ e)
+      in
+      Alcotest.(check bool) "verifies against the digest before the failure"
+        true
+        (Verifier.ok (Verifier.verify db ~digests:[ digest ]))
 
 let test_hello_required () =
   with_server (fun ~dir:_ ~port _srv ->
@@ -870,6 +983,16 @@ let () =
             test_concurrent_sessions;
           Alcotest.test_case "transactions span requests" `Quick
             test_txn_sessions;
+          Alcotest.test_case "exec returns its txn_id" `Quick test_exec_txn_id;
+        ] );
+      ( "failed publish",
+        [
+          Alcotest.test_case "stops writers (auto-commit)" `Quick
+            (test_failed_publish ~failing:`Auto_commit);
+          Alcotest.test_case "stops writers (explicit txn)" `Quick
+            (test_failed_publish ~failing:`Commit);
+          Alcotest.test_case "stops writers (2PC decision)" `Quick
+            (test_failed_publish ~failing:`Decision);
         ] );
       ( "lifecycle",
         [

@@ -199,6 +199,47 @@ let test_wal_first_lsn_and_advance () =
           Alcotest.(check (list int)) "lsns round-trip through the file"
             [ 41; 101 ] (List.map fst records))
 
+(* The fsyncgate rule: the first failed write breaks the log, every later
+   append, batch or sync re-raises that same exception, and nothing after
+   the failure reaches the file or the in-memory record list. *)
+let test_wal_broken_by_failed_write () =
+  with_temp_file (fun path ->
+      let w = Aries.Wal.create ~path () in
+      ignore (Aries.Wal.append_batch w [ LR.Begin { txn_id = 1 } ]);
+      Fault.set "wal.batch_append" Fault.Fail;
+      let first =
+        Fun.protect ~finally:Fault.reset (fun () ->
+            match Aries.Wal.append_batch w [ LR.Begin { txn_id = 2 } ] with
+            | _ -> Alcotest.fail "the armed batch was written"
+            | exception e -> e)
+      in
+      (match Aries.Wal.broken w with
+      | Some e ->
+          Alcotest.(check bool) "the log records its first failure" true
+            (e == first)
+      | None -> Alcotest.fail "a failed write left the log healthy");
+      List.iter
+        (fun (what, f) ->
+          match f () with
+          | () -> Alcotest.failf "%s succeeded on a broken log" what
+          | exception e ->
+              Alcotest.(check bool) (what ^ " re-raises the first failure")
+                true (e == first))
+        [
+          ( "append",
+            fun () -> ignore (Aries.Wal.append w (LR.Begin { txn_id = 3 })) );
+          ("empty batch", fun () -> ignore (Aries.Wal.append_batch w []));
+          ("sync", fun () -> Aries.Wal.sync w);
+        ];
+      Alcotest.(check int) "in memory: the record before the failure" 1
+        (List.length (Aries.Wal.records w));
+      Aries.Wal.close w;
+      match Aries.Wal.load path with
+      | Error e -> Alcotest.fail e
+      | Ok records ->
+          Alcotest.(check (list int)) "on disk: the record before the failure"
+            [ 1 ] (List.map fst records))
+
 let test_analysis_no_checkpoint () =
   let entries =
     [
@@ -272,6 +313,8 @@ let () =
             test_wal_bitflip_is_corruption_not_torn;
           Alcotest.test_case "non-monotonic lsn" `Quick
             test_wal_nonmonotonic_lsn_is_corruption;
+          Alcotest.test_case "failed write breaks the log" `Quick
+            test_wal_broken_by_failed_write;
           Alcotest.test_case "first_lsn / advance_to" `Quick
             test_wal_first_lsn_and_advance;
         ] );
