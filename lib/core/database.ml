@@ -49,11 +49,10 @@ let columns_meta_columns =
     Column.make "operation" (Datatype.Varchar 16);
   ]
 
-let log_ddl dbl payload =
-  ignore
-    (Aries.Wal.append (Database_ledger.wal dbl)
-       (Aries.Log_record.Ddl { payload = Sjson.Obj payload })
-      : int)
+(* A DDL record's payload. *)
+let ddl name fields = Sjson.Obj (("ddl", Sjson.String name) :: fields)
+
+let json_ints l = Sjson.List (List.map (fun i -> Sjson.Int i) l)
 
 let create ?(block_size = 100_000) ?wal_path ?signing_seed ?commit_cost_us
     ?(clock = Unix.gettimeofday) ~name () =
@@ -71,17 +70,23 @@ let create ?(block_size = 100_000) ?wal_path ?signing_seed ?commit_cost_us
   in
   (* The log's header record: replay reconstructs the identical database
      shell (the id is a deterministic hash of name and create time). *)
-  log_ddl dbl
-    ([
-       ("ddl", Sjson.String "create_database");
-       ("name", Sjson.String name);
-       ("created", Sjson.Float created);
-       ("block_size", Sjson.Int block_size);
-     ]
-    @
-    match signing_seed with
-    | Some seed -> [ ("signing_seed", Sjson.String seed) ]
-    | None -> []);
+  Database_ledger.publish dbl
+    [
+      Aries.Log_record.Ddl
+        {
+          payload =
+            ddl "create_database"
+              ([
+                 ("name", Sjson.String name);
+                 ("created", Sjson.Float created);
+                 ("block_size", Sjson.Int block_size);
+               ]
+              @
+              match signing_seed with
+              | Some seed -> [ ("signing_seed", Sjson.String seed) ]
+              | None -> []);
+        };
+    ];
   let tables_meta =
     Ledger_table.create ~name:"ledger_tables_meta" ~table_id:(-10)
       ~schema:(Schema.make tables_meta_columns) ~key_ordinals:[ 0 ]
@@ -198,153 +203,233 @@ let key_ordinals_of schema key =
       | None -> Types.errorf "key column %s not in schema" col)
     key
 
+let table_by_id t id =
+  List.find_map
+    (function
+      | L lt when Ledger_table.table_id lt = id -> Some (`L lt)
+      | R store when Table_store.table_id store = id -> Some (`R store)
+      | _ -> None)
+    t.tables
+
+let require_ledger t id =
+  match table_by_id t id with
+  | Some (`L lt) -> lt
+  | _ -> failwith (Printf.sprintf "no ledger table with id %d" id)
+
+let require_store t id =
+  match table_by_id t id with
+  | Some (`L lt) -> Ledger_table.main lt
+  | Some (`R store) -> store
+  | None -> failwith (Printf.sprintf "no table with id %d" id)
+
+let set_both_schemas lt schema =
+  Table_store.set_schema (Ledger_table.main lt) schema;
+  Option.iter (fun h -> Table_store.set_schema h schema) (Ledger_table.history lt)
+
+(* Move both stores of a ledger table to [schema], which has one more
+   column than theirs, last: NULL in every existing row. *)
+let add_last_column lt schema =
+  let pad row = Array.append row [| Value.Null |] in
+  Table_store.migrate (Ledger_table.main lt) ~schema ~f:pad;
+  Option.iter (fun h -> Table_store.migrate h ~schema ~f:pad) (Ledger_table.history lt)
+
+(* The one applier of a DDL record's structural effect, shared by live
+   DDL, WAL replay and replicas: no logging and no metadata transaction
+   (the metadata rows travel as ordinary data in the DDL's system
+   transaction). Raises [Failure] or [Invalid_argument] on a record that
+   does not fit the database. *)
+let apply_ddl t payload =
+  let str name = Sjson.get_string (Sjson.member name payload) in
+  let int name = Sjson.get_int (Sjson.member name payload) in
+  let ints name = List.map Sjson.get_int (Sjson.get_list (Sjson.member name payload)) in
+  let column json =
+    match Column.of_json json with Ok c -> c | Error e -> failwith e
+  in
+  let schema name =
+    Schema.make (List.map column (Sjson.get_list (Sjson.member name payload)))
+  in
+  match str "ddl" with
+  | "create_ledger" ->
+      let table_id = int "table_id" in
+      let kind =
+        match str "kind" with
+        | "append_only" -> Ledger_table.Append_only
+        | _ -> Ledger_table.Updateable
+      in
+      let lt =
+        Ledger_table.create ~name:(str "name") ~table_id ~schema:(schema "columns")
+          ~key_ordinals:(ints "key") ~kind
+      in
+      t.tables <- t.tables @ [ L lt ];
+      t.next_table_id <- max t.next_table_id (table_id + 1)
+  | "create_regular" ->
+      let table_id = int "table_id" in
+      let store =
+        Table_store.create ~name:(str "name") ~table_id ~schema:(schema "columns")
+          ~key_ordinals:(ints "key")
+      in
+      t.tables <- t.tables @ [ R store ];
+      t.next_table_id <- max t.next_table_id (table_id + 1)
+  | "rename_table" -> Ledger_table.rename (require_ledger t (int "table_id")) (str "new_name")
+  | "remove_regular" ->
+      let id = int "table_id" in
+      t.tables <-
+        List.filter
+          (function R store -> Table_store.table_id store <> id | L _ -> true)
+          t.tables
+  | "add_column" ->
+      let lt = require_ledger t (int "table_id") in
+      add_last_column lt
+        (Schema.add_column (Ledger_table.schema lt) (column (Sjson.member "column" payload)))
+  | "hide_column" ->
+      let lt = require_ledger t (int "table_id") in
+      set_both_schemas lt (Schema.hide_column (Ledger_table.schema lt) (str "column"))
+  | "alter_column_schema" ->
+      (* The structural half of §3.5.3: hide the column under a mangled
+         name and add it back, last, with the new type. The repopulation
+         travels as ordinary data in the same system transaction. *)
+      let lt = require_ledger t (int "table_id") in
+      let column = str "column" in
+      let dtype =
+        match Datatype.of_string (str "new_type") with
+        | Some d -> d
+        | None -> failwith "bad type"
+      in
+      let schema = Ledger_table.schema lt in
+      let dropped_name = Printf.sprintf "%s__dropped_%d" column (Schema.arity schema) in
+      let schema =
+        Schema.hide_column
+          (Schema.rename_column schema ~old_name:column ~new_name:dropped_name)
+          dropped_name
+      in
+      add_last_column lt (Schema.add_column schema (Column.make ~nullable:true column dtype))
+  | "create_index" ->
+      Table_store.create_index
+        (require_store t (int "table_id"))
+        ~name:(str "index") ~key_ordinals:(ints "key")
+  | "drop_index" ->
+      Table_store.drop_index (require_store t (int "table_id")) ~name:(str "index")
+  | "create_database" -> () (* header; handled by the replayer *)
+  | other -> failwith ("unknown ddl record: " ^ other)
+
+let apply_structural_ddl t payload =
+  match apply_ddl t payload with
+  | () -> Ok ()
+  | exception (Failure e | Invalid_argument e) -> Error e
+
+(* DDL that no metadata table records (regular tables, indexes) is
+   applied, then published alone; a broken log refuses it first. *)
+let publish_ddl t payload =
+  Option.iter raise (Aries.Wal.broken (Database_ledger.wal t.dbl));
+  apply_ddl t payload;
+  Database_ledger.publish t.dbl [ Aries.Log_record.Ddl { payload } ]
+
+(* DDL that the metadata tables record (Figure 6) runs in a system
+   transaction. It begins before anything changes, so a broken log refuses
+   the DDL while the engine is untouched; the DDL record leads the
+   transaction's batch, so the change and its metadata rows reach the log
+   together or not at all. *)
+let ddl_txn t payload record =
+  let txn = begin_txn t ~user:"system" in
+  match
+    apply_ddl t payload;
+    record txn
+  with
+  | () ->
+      let _, records = Txn.stage_commit txn in
+      Database_ledger.publish t.dbl (Aries.Log_record.Ddl { payload } :: records)
+  | exception e ->
+      Txn.rollback txn;
+      raise e
+
 let create_ledger_table t ?(kind = `Updateable) ~name ~columns ~key () =
   check_fresh_name t name;
-  let schema = Schema.make columns in
-  let key_ordinals = key_ordinals_of schema key in
+  let key = key_ordinals_of (Schema.make columns) key in
   let table_id = t.next_table_id in
-  t.next_table_id <- table_id + 1;
-  let kind =
-    match kind with
-    | `Append_only -> Ledger_table.Append_only
-    | `Updateable -> Ledger_table.Updateable
-  in
-  let lt = Ledger_table.create ~name ~table_id ~schema ~key_ordinals ~kind in
-  t.tables <- t.tables @ [ L lt ];
-  log_ddl t.dbl
-    [
-      ("ddl", Sjson.String "create_ledger");
-      ("name", Sjson.String name);
-      ("table_id", Sjson.Int table_id);
-      ( "kind",
-        Sjson.String
-          (match kind with
-          | Ledger_table.Append_only -> "append_only"
-          | Ledger_table.Updateable -> "updateable") );
-      ("key", Sjson.List (List.map (fun i -> Sjson.Int i) key_ordinals));
-      ("columns", Sjson.List (List.map Column.to_json columns));
-    ];
-  let (), _ =
-    with_txn t ~user:"system" (fun txn ->
-        record_table_event t txn ~table_name:name ~table_id
-          ~operation:"CREATE";
-        List.iter
-          (fun (c : Column.t) ->
-            record_column_event t txn ~table_id ~column:c.name ~dtype:c.dtype
-              ~operation:"CREATE")
-          columns)
-  in
-  lt
+  ddl_txn t
+    (ddl "create_ledger"
+       [
+         ("name", Sjson.String name);
+         ("table_id", Sjson.Int table_id);
+         ( "kind",
+           Sjson.String
+             (match kind with
+             | `Append_only -> "append_only"
+             | `Updateable -> "updateable") );
+         ("key", json_ints key);
+         ("columns", Sjson.List (List.map Column.to_json columns));
+       ])
+    (fun txn ->
+      record_table_event t txn ~table_name:name ~table_id ~operation:"CREATE";
+      List.iter
+        (fun (c : Column.t) ->
+          record_column_event t txn ~table_id ~column:c.name ~dtype:c.dtype
+            ~operation:"CREATE")
+        columns);
+  require_ledger t table_id
 
 let create_regular_table t ~name ~columns ~key () =
   check_fresh_name t name;
-  let schema = Schema.make columns in
-  let key_ordinals = key_ordinals_of schema key in
+  let key = key_ordinals_of (Schema.make columns) key in
   let table_id = t.next_table_id in
-  t.next_table_id <- table_id + 1;
-  let store = Table_store.create ~name ~table_id ~schema ~key_ordinals in
-  t.tables <- t.tables @ [ R store ];
-  log_ddl t.dbl
-    [
-      ("ddl", Sjson.String "create_regular");
-      ("name", Sjson.String name);
-      ("table_id", Sjson.Int table_id);
-      ("key", Sjson.List (List.map (fun i -> Sjson.Int i) key_ordinals));
-      ("columns", Sjson.List (List.map Column.to_json columns));
-    ];
-  store
+  publish_ddl t
+    (ddl "create_regular"
+       [
+         ("name", Sjson.String name);
+         ("table_id", Sjson.Int table_id);
+         ("key", json_ints key);
+         ("columns", Sjson.List (List.map Column.to_json columns));
+       ]);
+  require_store t table_id
 
 let drop_table t ~name =
   match find_entry t name with
   | None -> Types.errorf "no table named %s" name
   | Some (R store) ->
       (* Regular tables are not ledgered; a drop simply removes them. *)
-      log_ddl t.dbl
-        [
-          ("ddl", Sjson.String "remove_regular");
-          ("table_id", Sjson.Int (Table_store.table_id store));
-        ];
-      t.tables <-
-        List.filter
-          (fun e ->
-            match e with
-            | R s -> s != store
-            | L _ -> true)
-          t.tables
+      publish_ddl t
+        (ddl "remove_regular" [ ("table_id", Sjson.Int (Table_store.table_id store)) ])
   | Some (L lt) ->
       if is_meta t lt then Types.errorf "cannot drop a ledger system table";
       let table_id = Ledger_table.table_id lt in
       let new_name =
         Printf.sprintf "MS_DroppedTable_%s_%d" (Ledger_table.name lt) table_id
       in
-      Ledger_table.rename lt new_name;
-      log_ddl t.dbl
-        [
-          ("ddl", Sjson.String "rename_table");
-          ("table_id", Sjson.Int table_id);
-          ("new_name", Sjson.String new_name);
-        ];
-      let (), _ =
-        with_txn t ~user:"system" (fun txn ->
-            record_table_event t txn ~table_name:new_name ~table_id
-              ~operation:"DROP")
-      in
-      ()
-
-let set_both_schemas lt schema =
-  Table_store.set_schema (Ledger_table.main lt) schema;
-  match Ledger_table.history lt with
-  | Some h -> Table_store.set_schema h schema
-  | None -> ()
+      ddl_txn t
+        (ddl "rename_table"
+           [ ("table_id", Sjson.Int table_id); ("new_name", Sjson.String new_name) ])
+        (fun txn ->
+          record_table_event t txn ~table_name:new_name ~table_id ~operation:"DROP")
 
 let add_column t ~table column =
   let lt = ledger_table t table in
   if not column.Column.nullable then
     Types.errorf
       "only nullable columns can be added to ledger table %s (§3.5.1)" table;
-  let schema = Schema.add_column (Ledger_table.schema lt) column in
-  let pad row = Array.append row [| Value.Null |] in
-  Table_store.migrate (Ledger_table.main lt) ~schema ~f:pad;
-  (match Ledger_table.history lt with
-  | Some h -> Table_store.migrate h ~schema ~f:pad
-  | None -> ());
-  log_ddl t.dbl
-    [
-      ("ddl", Sjson.String "add_column");
-      ("table_id", Sjson.Int (Ledger_table.table_id lt));
-      ("column", Column.to_json column);
-    ];
-  let (), _ =
-    with_txn t ~user:"system" (fun txn ->
-        record_column_event t txn ~table_id:(Ledger_table.table_id lt)
-          ~column:column.Column.name ~dtype:column.Column.dtype
-          ~operation:"CREATE")
-  in
-  ()
+  let table_id = Ledger_table.table_id lt in
+  ddl_txn t
+    (ddl "add_column"
+       [ ("table_id", Sjson.Int table_id); ("column", Column.to_json column) ])
+    (fun txn ->
+      record_column_event t txn ~table_id ~column:column.Column.name
+        ~dtype:column.Column.dtype ~operation:"CREATE")
 
 let drop_column t ~table ~column =
   let lt = ledger_table t table in
-  let schema = Ledger_table.schema lt in
   let col =
-    match Schema.find schema column with
+    match Schema.find (Ledger_table.schema lt) column with
     | Some c -> c
     | None -> Types.errorf "no column %s in %s" column table
   in
   if List.mem column System_columns.names then
     Types.errorf "cannot drop a system column";
-  set_both_schemas lt (Schema.hide_column schema column);
-  log_ddl t.dbl
-    [
-      ("ddl", Sjson.String "hide_column");
-      ("table_id", Sjson.Int (Ledger_table.table_id lt));
-      ("column", Sjson.String column);
-    ];
-  let (), _ =
-    with_txn t ~user:"system" (fun txn ->
-        record_column_event t txn ~table_id:(Ledger_table.table_id lt)
-          ~column ~dtype:col.Column.dtype ~operation:"DROP")
-  in
-  ()
+  let table_id = Ledger_table.table_id lt in
+  ddl_txn t
+    (ddl "hide_column"
+       [ ("table_id", Sjson.Int table_id); ("column", Sjson.String column) ])
+    (fun txn ->
+      record_column_event t txn ~table_id ~column ~dtype:col.Column.dtype
+        ~operation:"DROP")
 
 let alter_column_type t ~table ~column dtype ~convert =
   let lt = ledger_table t table in
@@ -358,67 +443,47 @@ let alter_column_type t ~table ~column dtype ~convert =
   let main = Ledger_table.main lt in
   if List.mem old_ord (Table_store.key_ordinals main) then
     Types.errorf "cannot alter the type of key column %s" column;
+  (* Converted before anything changes, so a raising [convert] leaves the
+     table as it was. *)
+  let converted =
+    List.map
+      (fun row -> (Table_store.primary_key main row, convert row.(old_ord)))
+      (Ledger_table.current_rows lt)
+  in
+  let table_id = Ledger_table.table_id lt in
   (* §3.5.3: drop the column (hide it under a mangled name), add it back
      with the new type, and repopulate through ledgered updates. *)
-  let dropped_name =
-    Printf.sprintf "%s__dropped_%d" column (Schema.arity schema)
-  in
-  let schema =
-    Schema.hide_column
-      (Schema.rename_column schema ~old_name:column ~new_name:dropped_name)
-      dropped_name
-  in
-  let schema = Schema.add_column schema (Column.make ~nullable:true column dtype) in
-  let pad row = Array.append row [| Value.Null |] in
-  Table_store.migrate main ~schema ~f:pad;
-  (match Ledger_table.history lt with
-  | Some h -> Table_store.migrate h ~schema ~f:pad
-  | None -> ());
-  let table_id = Ledger_table.table_id lt in
-  log_ddl t.dbl
-    [
-      ("ddl", Sjson.String "alter_column_schema");
-      ("table_id", Sjson.Int table_id);
-      ("column", Sjson.String column);
-      ("new_type", Sjson.String (Datatype.to_string dtype));
-    ];
-  let new_user_pos =
-    (* position of the new column among the user columns *)
-    let ords = Ledger_table.user_ordinals lt in
-    let new_ord = Schema.arity schema - 1 in
-    let rec find i = function
-      | [] -> Types.errorf "internal: new column not found"
-      | o :: _ when o = new_ord -> i
-      | _ :: rest -> find (i + 1) rest
-    in
-    find 0 ords
-  in
-  let (), _ =
-    with_txn t ~user:"system" (fun txn ->
-        record_column_event t txn ~table_id ~column ~dtype:old_dtype
-          ~operation:"DROP";
-        record_column_event t txn ~table_id ~column ~dtype ~operation:"CREATE";
-        List.iter
-          (fun row ->
-            let key = Table_store.primary_key main row in
-            let user_view = Ledger_table.user_row lt row in
-            let converted =
-              Row.set user_view new_user_pos (convert row.(old_ord))
-            in
-            Txn.update txn lt ~key converted)
-          (Ledger_table.current_rows lt))
-  in
-  ()
+  ddl_txn t
+    (ddl "alter_column_schema"
+       [
+         ("table_id", Sjson.Int table_id);
+         ("column", Sjson.String column);
+         ("new_type", Sjson.String (Datatype.to_string dtype));
+       ])
+    (fun txn ->
+      record_column_event t txn ~table_id ~column ~dtype:old_dtype
+        ~operation:"DROP";
+      record_column_event t txn ~table_id ~column ~dtype ~operation:"CREATE";
+      (* The re-added column is the last user column. *)
+      let pos = Ledger_table.user_arity lt - 1 in
+      List.iter
+        (fun (key, value) ->
+          match Ledger_table.find lt ~key with
+          | Some row ->
+              Txn.update txn lt ~key (Row.set (Ledger_table.user_row lt row) pos value)
+          | None -> ())
+        converted)
+
+let indexed_store t table =
+  match find_entry t table with
+  | Some (L lt) -> Ledger_table.main lt
+  | Some (R store) -> store
+  | None -> Types.errorf "no table named %s" table
 
 let create_index t ~table ~name ~columns =
-  let store =
-    match find_entry t table with
-    | Some (L lt) -> Ledger_table.main lt
-    | Some (R store) -> store
-    | None -> Types.errorf "no table named %s" table
-  in
+  let store = indexed_store t table in
   let schema = Table_store.schema store in
-  let key_ordinals =
+  let key =
     List.map
       (fun col ->
         match Schema.ordinal schema col with
@@ -426,29 +491,22 @@ let create_index t ~table ~name ~columns =
         | None -> Types.errorf "no column %s in %s" col table)
       columns
   in
-  Table_store.create_index store ~name ~key_ordinals;
-  log_ddl t.dbl
-    [
-      ("ddl", Sjson.String "create_index");
-      ("table_id", Sjson.Int (Table_store.table_id store));
-      ("index", Sjson.String name);
-      ("key", Sjson.List (List.map (fun i -> Sjson.Int i) key_ordinals));
-    ]
+  publish_ddl t
+    (ddl "create_index"
+       [
+         ("table_id", Sjson.Int (Table_store.table_id store));
+         ("index", Sjson.String name);
+         ("key", json_ints key);
+       ])
 
 let drop_index t ~table ~name =
-  let store =
-    match find_entry t table with
-    | Some (L lt) -> Ledger_table.main lt
-    | Some (R store) -> store
-    | None -> Types.errorf "no table named %s" table
-  in
-  Table_store.drop_index store ~name;
-  log_ddl t.dbl
-    [
-      ("ddl", Sjson.String "drop_index");
-      ("table_id", Sjson.Int (Table_store.table_id store));
-      ("index", Sjson.String name);
-    ]
+  let store = indexed_store t table in
+  publish_ddl t
+    (ddl "drop_index"
+       [
+         ("table_id", Sjson.Int (Table_store.table_id store));
+         ("index", Sjson.String name);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Digests / checkpoint *)
@@ -740,126 +798,6 @@ let truncation_horizons t =
 
 (* ------------------------------------------------------------------ *)
 (* Replay support *)
-
-let table_by_id t id =
-  List.find_map
-    (function
-      | L lt when Ledger_table.table_id lt = id -> Some (`L lt)
-      | R store when Table_store.table_id store = id -> Some (`R store)
-      | _ -> None)
-    t.tables
-
-let apply_structural_ddl t payload =
-  let str name = Sjson.get_string (Sjson.member name payload) in
-  let int name = Sjson.get_int (Sjson.member name payload) in
-  let ints name = List.map Sjson.get_int (Sjson.get_list (Sjson.member name payload)) in
-  let columns name =
-    List.map
-      (fun cj ->
-        match Column.of_json cj with
-        | Ok c -> c
-        | Error e -> failwith e)
-      (Sjson.get_list (Sjson.member name payload))
-  in
-  let require_ledger id =
-    match table_by_id t id with
-    | Some (`L lt) -> lt
-    | _ -> failwith (Printf.sprintf "no ledger table with id %d" id)
-  in
-  let require_store id =
-    match table_by_id t id with
-    | Some (`L lt) -> Ledger_table.main lt
-    | Some (`R store) -> store
-    | None -> failwith (Printf.sprintf "no table with id %d" id)
-  in
-  try
-    (match str "ddl" with
-    | "create_ledger" ->
-        let table_id = int "table_id" in
-        let kind =
-          match str "kind" with
-          | "append_only" -> Ledger_table.Append_only
-          | _ -> Ledger_table.Updateable
-        in
-        let lt =
-          Ledger_table.create ~name:(str "name") ~table_id
-            ~schema:(Schema.make (columns "columns"))
-            ~key_ordinals:(ints "key") ~kind
-        in
-        t.tables <- t.tables @ [ L lt ];
-        t.next_table_id <- max t.next_table_id (table_id + 1)
-    | "create_regular" ->
-        let table_id = int "table_id" in
-        let store =
-          Table_store.create ~name:(str "name") ~table_id
-            ~schema:(Schema.make (columns "columns"))
-            ~key_ordinals:(ints "key")
-        in
-        t.tables <- t.tables @ [ R store ];
-        t.next_table_id <- max t.next_table_id (table_id + 1)
-    | "rename_table" -> Ledger_table.rename (require_ledger (int "table_id")) (str "new_name")
-    | "remove_regular" ->
-        let id = int "table_id" in
-        t.tables <-
-          List.filter
-            (function R store -> Table_store.table_id store <> id | L _ -> true)
-            t.tables
-    | "add_column" ->
-        let lt = require_ledger (int "table_id") in
-        let column =
-          match Column.of_json (Sjson.member "column" payload) with
-          | Ok c -> c
-          | Error e -> failwith e
-        in
-        let schema = Schema.add_column (Ledger_table.schema lt) column in
-        let pad row = Array.append row [| Value.Null |] in
-        Table_store.migrate (Ledger_table.main lt) ~schema ~f:pad;
-        (match Ledger_table.history lt with
-        | Some h -> Table_store.migrate h ~schema ~f:pad
-        | None -> ())
-    | "hide_column" ->
-        let lt = require_ledger (int "table_id") in
-        set_both_schemas lt
-          (Schema.hide_column (Ledger_table.schema lt) (str "column"))
-    | "alter_column_schema" ->
-        (* The structural half of alter_column_type; the repopulation was
-           logged as ordinary transaction data. Derivations (mangled name)
-           must match alter_column_type exactly. *)
-        let lt = require_ledger (int "table_id") in
-        let column = str "column" in
-        let dtype =
-          match Datatype.of_string (str "new_type") with
-          | Some d -> d
-          | None -> failwith "bad type"
-        in
-        let schema = Ledger_table.schema lt in
-        let dropped_name =
-          Printf.sprintf "%s__dropped_%d" column (Schema.arity schema)
-        in
-        let schema =
-          Schema.hide_column
-            (Schema.rename_column schema ~old_name:column ~new_name:dropped_name)
-            dropped_name
-        in
-        let schema =
-          Schema.add_column schema (Column.make ~nullable:true column dtype)
-        in
-        let pad row = Array.append row [| Value.Null |] in
-        Table_store.migrate (Ledger_table.main lt) ~schema ~f:pad;
-        (match Ledger_table.history lt with
-        | Some h -> Table_store.migrate h ~schema ~f:pad
-        | None -> ())
-    | "create_index" ->
-        Table_store.create_index
-          (require_store (int "table_id"))
-          ~name:(str "index") ~key_ordinals:(ints "key")
-    | "drop_index" ->
-        Table_store.drop_index (require_store (int "table_id")) ~name:(str "index")
-    | "create_database" -> () (* header; handled by the replayer *)
-    | other -> failwith ("unknown ddl record: " ^ other));
-    Ok ()
-  with
-  | Failure e | Invalid_argument e -> Error e
 
 let refresh_counters t =
   let max_event lt =

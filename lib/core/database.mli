@@ -140,8 +140,9 @@ val table_by_id :
   t -> int -> [ `L of Ledger_table.t | `R of Storage.Table_store.t ] option
 
 val apply_structural_ddl : t -> Sjson.t -> (unit, string) result
-(** Re-apply a logged DDL record structurally: no re-logging, no metadata
-    transaction (those were logged as data in the original run). *)
+(** Re-apply a logged DDL record structurally, through the same applier
+    live DDL uses: no re-logging, no metadata transaction (its rows were
+    logged as data in the DDL's system transaction). *)
 
 val refresh_counters : t -> unit
 (** Recompute the table-id and metadata-event allocators from current

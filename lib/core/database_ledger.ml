@@ -25,7 +25,8 @@ type receipt_cache = {
   rc_mu : Mutex.t;
   rc_blocks : (int, block_proofs) Hashtbl.t;
   rc_order : int Queue.t;
-  rc_txns : (int, int) Hashtbl.t;  (* txn_id -> resident closed block *)
+  rc_txns : (int, int * int) Hashtbl.t;
+      (* txn_id -> (resident closed block, position in its [bp_entries]) *)
   rc_capacity : int;
 }
 
@@ -313,9 +314,9 @@ let install_block_proofs t bp =
       | None ->
           Hashtbl.replace rc.rc_blocks block_id bp;
           Queue.push block_id rc.rc_order;
-          Array.iter
-            (fun (e : Types.txn_entry) ->
-              Hashtbl.replace rc.rc_txns e.txn_id block_id)
+          Array.iteri
+            (fun i (e : Types.txn_entry) ->
+              Hashtbl.replace rc.rc_txns e.txn_id (block_id, i))
             bp.bp_entries;
           while Queue.length rc.rc_order > rc.rc_capacity do
             let old = Queue.pop rc.rc_order in
@@ -362,22 +363,20 @@ let block_proofs t ~block_id =
   | Some bp -> Some (bp.bp_block, bp.bp_tree)
   | None -> None
 
-(* Entry lookup through the receipt cache's txn index; falls back to the
-   full (flushed ∪ queued) scan — after which the first receipt for the
-   entry's block warms the index for its whole block. *)
+(* Entry lookup through the receipt cache's txn index: a hit is two hash
+   lookups and an array read. A miss falls back to the full (flushed ∪
+   queued) scan — after which the first receipt for the entry's block
+   warms the index for its whole block. *)
 let locate_txn t ~txn_id =
   let rc = t.receipt_cache in
   let hit =
     Mutex.protect rc.rc_mu (fun () ->
         match Hashtbl.find_opt rc.rc_txns txn_id with
         | None -> None
-        | Some block_id -> (
-            match Hashtbl.find_opt rc.rc_blocks block_id with
-            | None -> None
-            | Some bp ->
-                Array.find_opt
-                  (fun (e : Types.txn_entry) -> e.txn_id = txn_id)
-                  bp.bp_entries))
+        | Some (block_id, pos) ->
+            Option.map
+              (fun bp -> bp.bp_entries.(pos))
+              (Hashtbl.find_opt rc.rc_blocks block_id))
   in
   match hit with Some _ as e -> e | None -> find_entry t ~txn_id
 
@@ -506,17 +505,19 @@ let replay_block_close t =
   (* Same computation as close_current_block, but without logging. *)
   do_close_block t
 
-let checkpoint t =
-  (* The record first: on a broken log nothing is flushed to the table. *)
-  let lsn = Aries.Wal.last_lsn t.db_wal in
-  ignore
-    (Aries.Wal.append t.db_wal
-       (Aries.Log_record.Checkpoint { flushed_upto_lsn = lsn })
-      : int);
+(* A checkpoint's in-memory half, shared with replay: flush the queue
+   into the transactions table. *)
+let replay_checkpoint t =
   List.iter
     (fun e -> Table_store.insert t.txn_table (entry_to_row e))
     (List.rev t.queue);
   t.queue <- []
+
+let checkpoint t =
+  (* The record first: on a broken log nothing is flushed to the table. *)
+  publish t
+    [ Aries.Log_record.Checkpoint { flushed_upto_lsn = Aries.Wal.last_lsn t.db_wal } ];
+  replay_checkpoint t
 
 let generate_digest t ~time =
   close_current_block t;
@@ -716,77 +717,3 @@ let of_snapshot ?wal_path json =
       }
   with
   | Failure e | Invalid_argument e -> Error ("malformed ledger snapshot: " ^ e)
-
-let recover ?(block_size = 100_000) ?wal_path ?signing_seed ~database_id
-    ~db_create_time ~(analysis : Aries.Recovery.analysis) ~flushed ~blocks ()
-    =
-  let txn_table, blocks_table = make_tables () in
-  List.iter (Table_store.insert txn_table) flushed;
-  List.iter (Table_store.insert blocks_table) blocks;
-  let queue =
-    List.rev_map
-      (fun (c : Aries.Log_record.commit_info) ->
-        {
-          Types.txn_id = c.txn_id;
-          block_id = c.block_id;
-          ordinal = c.ordinal;
-          commit_ts = c.commit_ts;
-          user = c.user;
-          table_roots = c.table_roots;
-        })
-      analysis.pending_commits
-  in
-  let closed =
-    List.map block_of_row (Table_store.scan blocks_table)
-    |> List.sort (fun (a : Types.block) b -> compare a.block_id b.block_id)
-  in
-  let last_block_hash, next_block =
-    match List.rev closed with
-    | [] -> ("", 0)
-    | latest :: _ ->
-        ( (let b : Types.block = latest in
-           (* recompute rather than trust anything stored *)
-           ledgerhash_raw
-             [
-               Value.Int b.block_id;
-               Value.String (Hex.encode b.prev_hash);
-               Value.String (Hex.encode b.txn_root);
-               Value.Int b.txn_count;
-               Value.Float b.closed_ts;
-             ]),
-          latest.block_id + 1 )
-  in
-  let all_entries =
-    List.map entry_of_row (Table_store.scan txn_table) @ queue
-  in
-  let current_block = max next_block analysis.highest_block_id in
-  let current_count =
-    List.length
-      (List.filter
-         (fun (e : Types.txn_entry) -> e.block_id = current_block)
-         all_entries)
-  in
-  let last_commit =
-    List.fold_left
-      (fun acc (e : Types.txn_entry) -> Float.max acc e.commit_ts)
-      0. all_entries
-  in
-  {
-    db_block_size = block_size;
-    db_id = database_id;
-    db_created = db_create_time;
-    db_wal = Aries.Wal.create ?path:wal_path ();
-    txn_table;
-    blocks_table;
-    queue;
-    commit_cost_us = 0.0;
-    next_txn = analysis.highest_txn_id + 1;
-    current_block;
-    current_count;
-    last_block_hash;
-    last_commit;
-    signing_seed;
-    hash_cache = Hashtbl.create 64;
-    hash_mu = Mutex.create ();
-    receipt_cache = fresh_receipt_cache ();
-  }

@@ -9,8 +9,11 @@
     the block's entry hashes and chains it to the previous block's hash.
 
     A transaction gets its block and ordinal at commit, and its COMMIT
-    record carries them. Every commit, prepare, decision and block close
-    reaches the WAL through {!publish}: one frame and one fsync. *)
+    record carries them. Every record — commit, prepare, decision, block
+    close, checkpoint and DDL — reaches the WAL through {!publish}: one
+    frame and one fsync. After a crash, {!Wal_replay} rebuilds the queue
+    from the COMMIT records logged after the last checkpoint
+    ({!replay_commit}, {!replay_checkpoint}). *)
 
 type t
 
@@ -45,9 +48,8 @@ val next_txn_id : t -> int
     failure when the WAL is broken — no transaction may begin on it. *)
 
 val publish : t -> Aries.Log_record.t list -> unit
-(** The durability point of every commit, prepare, decision and block
-    close: append the records as one {!Aries.Wal.append_batch} frame
-    under one fsync. A commit is acknowledged only after this returns.
+(** The durability point of every record: append the records as one
+    {!Aries.Wal.append_batch} frame under one fsync. A commit is acknowledged only after this returns.
     Raises the log's first failure on a broken WAL; the in-memory effects
     already staged cannot be unwound, so the caller serves nothing
     written after the failure. *)
@@ -74,8 +76,9 @@ val accumulate_batch : t -> Types.txn_entry list -> unit
     cache, misses recompute. *)
 
 val checkpoint : t -> unit
-(** Log a CHECKPOINT record and flush queued entries to the transactions
-    system table. *)
+(** Publish a CHECKPOINT record, then flush queued entries to the
+    transactions system table. On a broken log it raises and flushes
+    nothing. *)
 
 val close_current_block : t -> unit
 (** Force-close the current block if it contains transactions, publishing
@@ -136,8 +139,9 @@ val block_proofs : t -> block_id:int -> (Types.block * Merkle.Tree.t) option
     not closed. *)
 
 val locate_txn : t -> txn_id:int -> Types.txn_entry option
-(** {!find_entry} through the receipt cache's txn → block index; a miss
-    falls back to the full scan. *)
+(** {!find_entry} through the receipt cache's txn → (block, position)
+    index: a hit costs two hash lookups and an array read, a miss falls
+    back to the full scan. *)
 
 val cached_block_signature :
   t -> block_id:int -> (Ledger_crypto.Lamport.public_key * Ledger_crypto.Lamport.signature) option
@@ -187,6 +191,10 @@ val note_txn_id : t -> int -> unit
 val replay_block_close : t -> unit
 (** Close the current block during replay without re-logging. *)
 
+val replay_checkpoint : t -> unit
+(** Flush the queue into the transactions system table during replay,
+    without re-logging. *)
+
 (** {1 Snapshot support} *)
 
 val to_snapshot : t -> Sjson.t
@@ -195,20 +203,3 @@ val to_snapshot : t -> Sjson.t
 
 val of_snapshot : ?wal_path:string -> Sjson.t -> (t, string) result
 (** [wal_path] attaches a fresh file-backed log (truncating). *)
-
-(** {1 Recovery} *)
-
-val recover :
-  ?block_size:int ->
-  ?wal_path:string ->
-  ?signing_seed:string ->
-  database_id:string ->
-  db_create_time:float ->
-  analysis:Aries.Recovery.analysis ->
-  flushed:Relation.Row.t list ->
-  blocks:Relation.Row.t list ->
-  unit ->
-  t
-(** Rebuild the ledger after a crash: [flushed]/[blocks] are the surviving
-    system-table rows; [analysis] supplies the commits whose entries were
-    still queued (paper §3.3.2, analysis phase). *)

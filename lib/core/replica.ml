@@ -129,7 +129,7 @@ let apply_record t record =
       Database_ledger.replay_block_close (Database.ledger db);
       Ok ()
   | LR.Checkpoint _, Some db ->
-      Database_ledger.checkpoint (Database.ledger db);
+      Database_ledger.replay_checkpoint (Database.ledger db);
       Ok ()
 
 let feed t records =

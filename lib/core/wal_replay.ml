@@ -193,7 +193,7 @@ let replay ?(clock = Unix.gettimeofday) ?snapshot ~records () =
                 Database_ledger.replay_block_close dbl;
                 Ok ()
             | LR.Checkpoint _ ->
-                Database_ledger.checkpoint dbl;
+                Database_ledger.replay_checkpoint dbl;
                 Ok ()
           in
           go rest

@@ -1,4 +1,9 @@
-(* Crash-safe filesystem helpers shared by the durability layer. *)
+(* Crash-safe filesystem helpers shared by the durability layer.
+
+   [fsync_channel] is the one fsync of a file in the program, and it
+   raises on failure: a write whose fsync failed is not durable, so no
+   caller may acknowledge it (the WAL then breaks, see [Aries.Wal]). Only
+   [fsync_dir] is best-effort. *)
 
 (* Tolerates concurrent creation: another domain/process may win the race
    between the existence check and mkdir, which must not be an error. *)
@@ -12,10 +17,12 @@ let rec mkdir_p d =
 
 let fsync_channel oc =
   flush oc;
-  try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ()
+  Unix.fsync (Unix.descr_of_out_channel oc)
 
 (* Durability of a rename requires fsyncing the containing directory.
-   Best-effort: some filesystems refuse fsync on a directory fd. *)
+   Best-effort, unlike [fsync_channel]: some filesystems refuse fsync on a
+   directory fd, and a refused directory fsync says nothing about the
+   file's own contents, which were fsynced before the rename. *)
 let fsync_dir dir =
   match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
   | exception Unix.Unix_error _ -> ()
@@ -47,7 +54,7 @@ let atomic_write ?(keep_previous = false) ~point_prefix ~path contents =
      Failpoint.output (point "write") oc contents;
      flush oc;
      Failpoint.trip (point "fsync");
-     (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
+     fsync_channel oc;
      close_out oc
    with e ->
      close_out_noerr oc;

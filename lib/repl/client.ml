@@ -77,7 +77,6 @@ let connected t = t.c_connected
 let last_error t = t.c_last_error
 let stop t = Atomic.set t.c_stop true
 let stopped t = Atomic.get t.c_stop
-let sync t = Aries.Wal.sync t.c_wal
 
 (* The run thread died of [e]: say so where [stats] looks. *)
 let failed t e =
@@ -349,20 +348,22 @@ let check_contiguous t records =
   go None records
 
 (* Apply one batch: local WAL first (durable), then the in-memory
-   replica, then ack. Records the replica already holds are skipped by
-   [Replica.feed], so redelivery after a reconnect is harmless. *)
+   replica, then ack. The records past the local log's head go out as one
+   frame under one fsync; [check_contiguous] has made them continue the
+   local numbering, so they keep their primary LSNs. Records the replica
+   already holds are skipped by [Replica.feed], so redelivery after a
+   reconnect is harmless. *)
 let apply_batch t ~with_write records payload_bytes =
   Fault.trip point_apply;
   let result = ref (Ok ()) in
   with_write (fun () ->
-      List.iter
-        (fun (lsn, r) ->
-          if lsn > Aries.Wal.last_lsn t.c_wal then begin
-            Aries.Wal.advance_to t.c_wal (lsn - 1);
-            ignore (Aries.Wal.append t.c_wal r : Aries.Wal.lsn)
-          end)
-        records;
-      Aries.Wal.sync t.c_wal;
+      let head = Aries.Wal.last_lsn t.c_wal in
+      ignore
+        (Aries.Wal.append_batch t.c_wal
+           (List.filter_map
+              (fun (lsn, r) -> if lsn > head then Some r else None)
+              records)
+          : Aries.Wal.lsn list);
       result := Replica.feed t.c_replica records);
   match !result with
   | Error e -> Error ("replication apply failed: " ^ e)
@@ -517,12 +518,9 @@ let run t ~with_write =
           | None -> ())
     end
   done;
-  t.c_connected <- false;
-  Aries.Wal.sync t.c_wal
+  t.c_connected <- false
 
-let close t =
-  Aries.Wal.sync t.c_wal;
-  Aries.Wal.close t.c_wal
+let close t = Aries.Wal.close t.c_wal
 
 (* ------------------------------------------------------------------ *)
 (* Failover *)

@@ -341,20 +341,15 @@ let run ?(dump_metrics_to = stderr) t =
       if Atomic.exchange t.stats_requested false then
         Metrics.dump t.metrics dump_metrics_to)
     ~after_drain:(fun () ->
-      (* Durability point of the drain: publish any batch still queued,
-         then force everything appended onto disk — on a broken log the
-         sync re-raises its failure, and [run] with it. (A replica read
-         port owns no durable state; its replication client syncs its
-         own log.) *)
+      (* The drain publishes any batch still queued; every publish is
+         fsynced, so nothing else is left to sync. On a broken log it
+         re-raises the log's failure, and [run] with it. (A replica read
+         port owns no durable state: its log failure is always [None].) *)
       Fun.protect
         ~finally:(fun () -> Metrics.dump t.metrics dump_metrics_to)
         (fun () ->
           Dispatch.flush_queue t.disp;
-          Option.iter
-            (fun durable ->
-              Aries.Wal.sync
-                (Database_ledger.wal (Database.ledger (Durable.db durable))))
-            t.durable))
+          Option.iter raise (Dispatch.log_failure t.disp)))
 
 (* Convenience for tests and bench: run in a background thread, stop it
    later with [shutdown]. *)

@@ -2,14 +2,10 @@ type lsn = int
 
 (* On-disk format: one Fault.Crc_frame frame per line, of two kinds.
 
-   - One record, [#CCCCCCCC LLL NNN {"type":...}]: the body is the LSN, one
-     space and the JSON payload. The explicit LSN keeps the sequence
-     monotonic across log truncations (compaction opens a fresh file whose
-     first record continues the old numbering), which is what lets
-     recovery line a snapshot's recorded position up against the log tail.
-
-   - A batch: every record of one publish (a transaction's records, or a
-     group commit's many transactions) shares one frame and one fsync:
+   - A batch, the only frame written: every record of one publish (a
+     transaction's records, a group commit's many transactions, a DDL
+     with its system transaction, a checkpoint) shares one frame and one
+     fsync:
 
        @CCCCCCCC LLL FFF N PLEN {"type":...} PLEN {"type":...} ...
                      \_/ | \________________/
@@ -20,7 +16,15 @@ type lsn = int
      The records take LSNs [first .. first+N-1]. Because the batch is one
      checksummed frame, a crash mid-append tears the whole batch — recovery
      can never observe a prefix of it, which is what makes every publish
-     atomic.
+     atomic. The explicit first LSN keeps the sequence monotonic across
+     log truncations (compaction opens a fresh file whose first record
+     continues the old numbering), which is what lets recovery line a
+     snapshot's recorded position up against the log tail.
+
+   - One record, [#CCCCCCCC LLL NNN {"type":...}]: the LSN, one space and
+     the JSON payload. Only read: older logs hold their header and DDL
+     records this way, and a replica appends to its log copy in place, so
+     such logs must still open.
 
    The frame's CRC tells a torn tail (crash mid-append: dropped) from
    corruption in the middle of the file (loading fails loudly). *)
@@ -29,18 +33,16 @@ type t = {
   mutable entries : (lsn * Log_record.t) list;  (* newest first *)
   mutable next_lsn : lsn;
   channel : out_channel option;
-  line_buf : Buffer.t;  (* reused across appends; one frame body each *)
+  line_buf : Buffer.t;  (* reused across batches; one frame body each *)
   batch_buf : Buffer.t;  (* scratch for one payload while batch-framing *)
   mutable broken : exn option;
-      (* the first write or fsync that raised; see [guarded] *)
+      (* the first write or fsync that raised; see [append_batch] *)
 }
 
-let point_append = "wal.append"
 let point_batch_append = "wal.batch_append"
 let point_batch_sync = "wal.batch_sync"
 
 let () =
-  Fault.register point_append;
   Fault.register point_batch_append;
   Fault.register point_batch_sync
 
@@ -63,65 +65,51 @@ let create ?path ?(append = false) ?(first_lsn = 1) () =
 
 let broken t = t.broken
 
-(* The fsyncgate rule: after a write or an fsync fails, what reached the
-   disk is unknowable (the kernel may have dropped the dirty pages and
-   cleared the error), so the log accepts nothing more. The first
-   exception breaks it, and every later append, batch or sync re-raises
-   that same exception. A record joins [entries] — where replication
-   tails it — only once its write has succeeded. *)
-let guarded t write =
-  Option.iter raise t.broken;
-  match t.channel with
-  | None -> ()
-  | Some oc -> (
-      try write oc
-      with e ->
-        t.broken <- Some e;
-        raise e)
-
 let push t record =
   let lsn = t.next_lsn in
   t.next_lsn <- lsn + 1;
   t.entries <- (lsn, record) :: t.entries;
   lsn
 
-(* A frame body, started with its first field: the next record's LSN. *)
-let start_body t =
-  let body = t.line_buf in
+(* A batch frame's body: the first record's LSN, the record count, then
+   each payload after its length. *)
+let batch_body t batch =
+  let body = t.line_buf and scratch = t.batch_buf in
   Buffer.clear body;
   Buffer.add_string body (string_of_int t.next_lsn);
   Buffer.add_char body ' ';
+  Buffer.add_string body (string_of_int (List.length batch));
+  List.iter
+    (fun record ->
+      Buffer.clear scratch;
+      Sjson.write scratch (Log_record.to_json record);
+      Buffer.add_char body ' ';
+      Buffer.add_string body (string_of_int (Buffer.length scratch));
+      Buffer.add_char body ' ';
+      Buffer.add_buffer body scratch)
+    batch;
   body
 
-let append t record =
-  guarded t (fun oc ->
-      let body = start_body t in
-      Sjson.write body (Log_record.to_json record);
-      Fault.Crc_frame.output point_append oc ~tag:'#' body;
-      flush oc);
-  push t record
-
+(* The fsyncgate rule: after a write or an fsync fails, what reached the
+   disk is unknowable (the kernel may have dropped the dirty pages and
+   cleared the error), so the log accepts nothing more. The first
+   exception breaks it, and every later batch re-raises that same
+   exception. A record joins [entries] — where replication tails it —
+   only once its write and fsync have succeeded. *)
 let append_batch t batch =
-  guarded t (fun oc ->
-      if batch <> [] then begin
-        let body = start_body t in
-        Buffer.add_string body (string_of_int (List.length batch));
-        let scratch = t.batch_buf in
-        List.iter
-          (fun record ->
-            Buffer.clear scratch;
-            Sjson.write scratch (Log_record.to_json record);
-            Buffer.add_char body ' ';
-            Buffer.add_string body (string_of_int (Buffer.length scratch));
-            Buffer.add_char body ' ';
-            Buffer.add_buffer body scratch)
-          batch;
-        Fault.Crc_frame.output point_batch_append oc ~tag:'@' body;
+  Option.iter raise t.broken;
+  (match t.channel with
+  | Some oc when batch <> [] -> (
+      try
+        Fault.Crc_frame.output point_batch_append oc ~tag:'@' (batch_body t batch);
         flush oc;
         (* The batch's one durability barrier. *)
         Fault.trip point_batch_sync;
         Fault.Fsutil.fsync_channel oc
-      end);
+      with e ->
+        t.broken <- Some e;
+        raise e)
+  | _ -> ());
   List.map (push t) batch
 
 let last_lsn t = t.next_lsn - 1
@@ -150,10 +138,6 @@ let first_available t =
     | _ :: rest -> last rest
   in
   last t.entries
-
-(* Force everything appended so far onto stable storage: the drain's
-   barrier, and the replica's after each applied batch. *)
-let sync t = guarded t Fault.Fsutil.fsync_channel
 
 let close t = Option.iter close_out t.channel
 

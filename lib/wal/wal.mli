@@ -1,35 +1,30 @@
 (** Append-only write-ahead log with monotonically increasing LSNs.
 
     The log lives in memory and can additionally be mirrored to a file (one
-    record per line), which is what crash-recovery replays. On-disk records
-    are {!Fault.Crc_frame} frames: [#crc32 len lsn payload] for one record,
-    [@crc32 len first_lsn count ...] for a batch, so that recovery can tell
-    a torn tail (crash mid-append) from corruption in the middle of the
-    file.
+    frame per line), which is what crash recovery replays. On-disk records
+    are {!Fault.Crc_frame} frames, so that recovery can tell a torn tail
+    (crash mid-append) from corruption in the middle of the file.
 
-    Only {!append_batch} fsyncs: it is the durability point of every
-    transaction. A file-backed log follows the fsyncgate rule: the first
-    write or fsync that raises breaks the log, and every later {!append},
-    {!append_batch} or {!sync} re-raises that first exception. *)
+    {!append_batch} is the only write: every publish reaches the file as
+    one [@crc32 len first_lsn count ...] frame under one fsync. The loader
+    also reads the one-record [#crc32 len lsn payload] frames that older
+    logs hold. A file-backed log follows the fsyncgate rule: the first
+    write or fsync that raises, injected or real, breaks the log, and every
+    later {!append_batch} re-raises that first exception. *)
 
 type t
 
 type lsn = int
 
 val create : ?path:string -> ?append:bool -> ?first_lsn:lsn -> unit -> t
-(** When [path] is given, every append is written through and flushed to the
+(** When [path] is given, every batch is written through and fsynced to the
     file (truncating any existing file, unless [append] is set — then new
     records are written after the existing contents, which the caller is
     expected to have validated and whose numbering [first_lsn] must
     continue; the replica's durable copy reopens this way). [first_lsn]
-    (default 1) is the LSN the next append receives — compaction passes the
+    (default 1) is the LSN the next record receives — compaction passes the
     continuation of the previous log's numbering so LSNs stay globally
     monotonic across truncations. *)
-
-val append : t -> Log_record.t -> lsn
-(** Write and flush one [#] frame, without an fsync; returns its LSN. The
-    next {!append_batch} or {!sync} makes it durable. Writes go through the
-    ["wal.append"] failpoint. *)
 
 val append_batch : t -> Log_record.t list -> lsn list
 (** Append the records as one [@] frame
@@ -48,7 +43,7 @@ val last_lsn : t -> lsn
 (** [first_lsn - 1] when empty (0 for a fresh log). *)
 
 val advance_to : t -> lsn -> unit
-(** Ensure the next append's LSN is strictly greater than the argument.
+(** Ensure the next record's LSN is strictly greater than the argument.
     Recovery calls this after replaying records so re-attached logs never
     reuse an LSN already on disk. *)
 
@@ -64,11 +59,6 @@ val first_available : t -> lsn option
     log re-attached after compaction or recovery starts past LSN 1, so a
     subscriber asking for history before this point must be fed a snapshot
     instead of a stream. *)
-
-val sync : t -> unit
-(** Flush and fsync the backing file (no-op for in-memory logs): the
-    barrier of the server's drain and of the replica's applied batches.
-    Commits are made durable by {!append_batch}. *)
 
 val close : t -> unit
 

@@ -138,7 +138,6 @@ let expected_points =
     "snapshot.rename";
     "snapshot.rename_prev";
     "snapshot.write";
-    "wal.append";
     "wal.batch_append";
     "wal.batch_sync";
     "worm.mirror.fsync";
@@ -372,7 +371,6 @@ let run_batch_scenario point mode scenario_seed =
         (Database.ledger_table db2 "accounts")
         w
         (random_batch w prng 2);
-      Aries.Wal.sync (Database_ledger.wal (Database.ledger db2));
       let t3 = open_dir () in
       check_recovered_batch ~what:(what ^ " (post-recovery batch)") w []
         (Durable.db t3))
@@ -394,6 +392,156 @@ let batch_cases =
     [ Fault.Fail; Fault.Crash_after 0; Fault.Crash_after 37;
       Fault.Crash_after 400 ]
   @ cases "wal.batch_sync" [ Fault.Crash_after 0 ]
+
+(* ------------------------------------------------------------------ *)
+(* DDL atomicity
+
+   A DDL statement that the metadata tables record (Figure 6) publishes
+   its record first in its system transaction's batch: one frame. A crash
+   anywhere in that frame must leave the change and its metadata rows
+   present together or absent together, and the ledger verifiable
+   against the digest taken before the statement. *)
+
+type ddl_case = {
+  ddl : Database.t -> unit;
+  applied : Database.t -> bool;
+      (* the change is visible; fails on a half-applied one *)
+  meta_added : int * int;  (* rows it adds to the tables / columns meta *)
+}
+
+let meta_rows db =
+  ( Ledger_table.row_count (Database.tables_meta db),
+    Ledger_table.row_count (Database.columns_meta db) )
+
+let create_case =
+  {
+    ddl =
+      (fun db ->
+        ignore
+          (Database.create_ledger_table db ~name:"audit_log"
+             ~columns:
+               [
+                 Relation.Column.make "id" Relation.Datatype.Int;
+                 Relation.Column.make "note" (Relation.Datatype.Varchar 40);
+               ]
+             ~key:[ "id" ] ()
+            : Ledger_table.t));
+    applied = (fun db -> Database.find_ledger_table db "audit_log" <> None);
+    meta_added = (1, 2);
+  }
+
+(* [balance] becomes a string on a populated table: the new type and the
+   converted values must come back together. *)
+let alter_case =
+  let varchar = Relation.Datatype.Varchar 16 in
+  {
+    ddl =
+      (fun db ->
+        Database.alter_column_type db ~table:"accounts" ~column:"balance"
+          varchar ~convert:(function
+          | Relation.Value.Int i -> Relation.Value.String (string_of_int i)
+          | v -> v));
+    applied =
+      (fun db ->
+        let typed =
+          match
+            Relation.Schema.find
+              (Ledger_table.schema (Database.ledger_table db "accounts"))
+              "balance"
+          with
+          | Some c -> c.Relation.Column.dtype = varchar
+          | None -> failf "accounts lost its balance column"
+        in
+        let values =
+          List.map (fun row -> row.(0))
+            (Database.query db "SELECT balance FROM accounts").Sqlexec.Rel.rows
+        in
+        let all p = values <> [] && List.for_all p values in
+        if typed && all (function Relation.Value.String _ -> true | _ -> false)
+        then true
+        else if
+          (not typed) && all (function Relation.Value.Int _ -> true | _ -> false)
+        then false
+        else failf "balance is half-altered (new type: %b)" typed);
+    meta_added = (0, 2);
+  }
+
+let run_ddl_scenario ~what case offset_of_size =
+  let open_dir dir =
+    match Durable.open_dir ~clock:(make_clock ()) ~dir ~name:"ddl" () with
+    | Ok t -> t
+    | Error e -> failf "%s: open_dir: %s" what e
+  in
+  (* A populated ledger and a digest over it, before the statement. *)
+  let setup dir =
+    let db = Durable.db (open_dir dir) in
+    let accounts = make_accounts db in
+    List.iteri
+      (fun i name -> ignore (insert_account db accounts name (100 * (i + 1))))
+      [ "ann"; "bob"; "cy" ];
+    (db, fresh_digest db)
+  in
+  (* A dry run measures the statement's frame: the clock is deterministic,
+     so the armed run writes the same bytes. *)
+  let size =
+    with_dir (fun dir ->
+        Fault.reset ();
+        let db, _ = setup dir in
+        let wal = Durable.wal_path dir in
+        let before = (Unix.stat wal).Unix.st_size in
+        case.ddl db;
+        (Unix.stat wal).Unix.st_size - before)
+  in
+  let offset = offset_of_size size in
+  let what = Printf.sprintf "%s (crash:%d of a %d-byte frame)" what offset size in
+  with_dir (fun dir ->
+      Fault.reset ();
+      let db, digest = setup dir in
+      let meta_before = meta_rows db in
+      Fault.set "wal.batch_append" (Fault.Crash_after offset);
+      (match case.ddl db with
+      | () -> failf "%s: the armed statement was acknowledged" what
+      | exception Fault.Injected_crash _ -> ());
+      Fault.reset ();
+      let db2 = Durable.db (open_dir dir) in
+      let applied = case.applied db2 in
+      if offset = 0 && applied then
+        failf "%s: nothing of the frame was written, yet the change is back" what;
+      let expected =
+        if applied then
+          ( fst meta_before + fst case.meta_added,
+            snd meta_before + snd case.meta_added )
+        else meta_before
+      in
+      let tables, columns = meta_rows db2 in
+      if (tables, columns) <> expected then
+        failf
+          "%s: the change is %s, but the metadata tables hold %d/%d rows \
+           where %d/%d were expected"
+          what
+          (if applied then "present" else "absent")
+          tables columns (fst expected) (snd expected);
+      if not (Verifier.ok (Verifier.verify db2 ~digests:[ digest ])) then
+        failf "%s: recovered ledger failed verification" what)
+
+(* The crash lands before the frame's first byte, at a seeded offset
+   inside it, and on its last byte (the newline). *)
+let ddl_atomicity_cases =
+  List.concat_map
+    (fun (name, case) ->
+      List.map
+        (fun (where, offset_of_size) ->
+          let what = name ^ ", crash " ^ where in
+          Alcotest.test_case what `Quick (fun () ->
+              run_ddl_scenario ~what case offset_of_size))
+        [
+          ("at start", fun _ -> 0);
+          ( "inside",
+            fun size ->
+              1 + Prng.int (Prng.create (seed lxor Hashtbl.hash name)) (size - 2) );
+          ("at end", fun size -> size - 1);
+        ])
+    [ ("create_ledger_table", create_case); ("alter_column_type", alter_case) ]
 
 (* ------------------------------------------------------------------ *)
 (* TPC-C smoke: a crash mid-mix must leave a verifiable, usable ledger. *)
@@ -577,6 +725,7 @@ let () =
                        test_all_points_registered ]);
       ("failpoint matrix", matrix_cases);
       ("batch boundaries", batch_cases);
+      ("ddl atomicity", ddl_atomicity_cases);
       ("tpcc", [ Alcotest.test_case "crash mid-mix" `Quick test_tpcc_crash_midway ]);
       ( "wal truncation",
         [ Alcotest.test_case (Printf.sprintf "%d random cuts" trials) `Quick

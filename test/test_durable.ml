@@ -229,6 +229,60 @@ let test_work_after_reopen_is_durable () =
       Alcotest.(check bool) "verifies" true
         (Verifier.ok (Verifier.verify (Durable.db t3) ~digests:[ d ])))
 
+(* A DDL statement whose publish fails is refused, and must not come back
+   after a restart: neither the change nor a metadata event for it. Each
+   case runs in a fresh directory. *)
+let test_refused_ddl_does_not_come_back () =
+  let meta_events db =
+    Ledger_table.row_count (Database.tables_meta db)
+    + Ledger_table.row_count (Database.columns_meta db)
+  in
+  let column_named name db =
+    Relation.Schema.find
+      (Ledger_table.schema (Database.ledger_table db "accounts"))
+      name
+    <> None
+  in
+  List.iter
+    (fun (what, prepare, ddl, present) ->
+      with_dir (fun dir ->
+          let db = Durable.db (open_ok ~clock:(make_clock ()) dir) in
+          prepare db;
+          let digests = Option.to_list (Database.generate_digest db) in
+          let events = meta_events db in
+          Fault.set "wal.batch_append" Fault.Fail;
+          (match Fun.protect ~finally:Fault.reset (fun () -> ddl db) with
+          | () -> Alcotest.failf "%s: acknowledged although its publish failed" what
+          | exception Fault.Injected_error _ -> ());
+          let db2 = Durable.db (open_ok ~clock:(make_clock ()) dir) in
+          Alcotest.(check bool) (what ^ ": absent after reopen") false (present db2);
+          Alcotest.(check int) (what ^ ": no metadata event") events (meta_events db2);
+          Alcotest.(check bool) (what ^ ": verifies") true
+            (Verifier.ok (Verifier.verify db2 ~digests))))
+    [
+      ( "create_ledger_table",
+        ignore,
+        (fun db -> ignore (make_accounts db)),
+        fun db -> Database.find_ledger_table db "accounts" <> None );
+      ( "add_column",
+        (fun db -> figure2 db (make_accounts db)),
+        (fun db ->
+          Database.add_column db ~table:"accounts"
+            (Relation.Column.make ~nullable:true "note" (Relation.Datatype.Varchar 20))),
+        column_named "note" );
+      ( "create_regular_table",
+        ignore,
+        (fun db ->
+          ignore
+            (Database.create_regular_table db ~name:"plain" ~columns:accounts_columns
+               ~key:[ "name" ] ()
+              : Storage.Table_store.t)),
+        fun db ->
+          match Database.regular_table db "plain" with
+          | _ -> true
+          | exception Types.Ledger_error _ -> false );
+    ]
+
 let () =
   Alcotest.run "durable"
     [
@@ -239,6 +293,8 @@ let () =
           Alcotest.test_case "compact bounds the log" `Quick test_compact_bounds_log;
           Alcotest.test_case "compact-crash reopen" `Quick test_reopen_after_compact_crash;
           Alcotest.test_case "durability across reopens" `Quick test_work_after_reopen_is_durable;
+          Alcotest.test_case "refused DDL does not come back" `Quick
+            test_refused_ddl_does_not_come_back;
         ] );
       ( "crash shapes",
         [

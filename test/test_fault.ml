@@ -168,15 +168,28 @@ let test_frame_flips () =
   in
   check stop_t "blank line mid-file" (corrupt_at first) stop
 
-(* A WAL of three frames: one record, a batch of two, one record. *)
+(* A WAL of three frames: one record, a batch of two, one record. The WAL
+   writes only batches; the single-record frames are [#] frames framed by
+   hand, as older logs hold them. *)
 let wal_file () =
   with_temp_file (fun path ->
-      let w = Aries.Wal.create ~path () in
-      ignore (Aries.Wal.append w (LR.Begin { txn_id = 1 }) : int);
+      let record_frame lsn record =
+        Out_channel.with_open_gen [ Open_wronly; Open_append; Open_binary ] 0o644
+          path (fun oc ->
+            let b = Buffer.create 64 in
+            Buffer.add_string b (string_of_int lsn ^ " " ^ LR.to_line record);
+            Frame.output "test.crc_frame" oc ~tag:'#' b)
+      in
+      write_file path "";
+      record_frame 1 (LR.Begin { txn_id = 1 });
+      let w = Aries.Wal.create ~path ~append:true ~first_lsn:2 () in
       ignore (Aries.Wal.append_batch w [ LR.Begin { txn_id = 2 }; LR.Abort { txn_id = 2 } ] : int list);
-      ignore (Aries.Wal.append w (LR.Abort { txn_id = 1 }) : int);
       Aries.Wal.close w;
-      read_file path)
+      record_frame 4 (LR.Abort { txn_id = 1 });
+      let file = read_file path in
+      check Alcotest.(list char) "frame tags" [ '#'; '@'; '#' ]
+        (List.map (fun i -> file.[i]) (0 :: List.filteri (fun i _ -> i < 2) (frame_ends file)));
+      file)
 
 let lsns_of_frames = [| []; [ 1 ]; [ 1; 2; 3 ]; [ 1; 2; 3; 4 ] |]
 

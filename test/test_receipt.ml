@@ -168,9 +168,8 @@ let test_unsigned_database () =
 (* ------------------------------------------------------------------ *)
 (* Cached issuance: byte-identical to the uncached reference path. *)
 
-let test_cached_equals_uncached () =
-  let db, _ = setup () in
-  let entries = Database_ledger.entries (Database.ledger db) in
+(* Every entry's cached receipt equals its uncached one, byte for byte. *)
+let check_cached_equals_uncached label db =
   List.iter
     (fun (e : Types.txn_entry) ->
       match
@@ -179,26 +178,34 @@ let test_cached_equals_uncached () =
       with
       | Ok a, Ok b ->
           Alcotest.(check string)
-            (Printf.sprintf "txn %d receipt bytes" e.txn_id)
+            (Printf.sprintf "%s: txn %d receipt bytes" label e.txn_id)
             (Receipt.to_string a) (Receipt.to_string b)
       | Error msg, _ -> Alcotest.failf "txn %d uncached: %s" e.txn_id msg
       | _, Error f ->
           Alcotest.failf "txn %d cached: %s" e.txn_id
             (Receipt.issue_error_to_string ~txn_id:e.txn_id f))
-    entries;
+    (Database_ledger.entries (Database.ledger db))
+
+let test_cached_equals_uncached () =
+  let db, _ = setup () in
+  check_cached_equals_uncached "first pass" db;
   (* Issue twice: the second pass is served entirely from the cache and
      must not drift. *)
-  List.iter
-    (fun (e : Types.txn_entry) ->
-      match
-        ( Receipt.generate db ~txn_id:e.txn_id,
-          Receipt.generate_cached db ~txn_id:e.txn_id )
-      with
-      | Ok a, Ok b ->
-          Alcotest.(check string) "second pass"
-            (Receipt.to_string a) (Receipt.to_string b)
-      | _ -> Alcotest.fail "reissue failed")
-    entries
+  check_cached_equals_uncached "second pass" db;
+  (* More closed blocks than the cache holds: the oldest are evicted as
+     the commit path closes blocks, then rebuilt (evicting others) when
+     their receipts are asked for, so hits, misses and rebuilt blocks'
+     positions are all compared. *)
+  let db = make_db ~block_size:2 "receipts-evicted" in
+  let accounts = make_accounts db in
+  for i = 1 to 2 * 140 do
+    ignore (insert_account db accounts (Printf.sprintf "acct%d" i) i)
+  done;
+  ignore (fresh_digest db);
+  Alcotest.(check bool) "more closed blocks than the cache holds" true
+    (List.length (Database_ledger.blocks (Database.ledger db)) > 128);
+  check_cached_equals_uncached "evicted blocks" db;
+  check_cached_equals_uncached "rebuilt blocks" db
 
 let test_snapshot_receipts_equal_primary () =
   (* A replica restored from the primary's published snapshot issues the

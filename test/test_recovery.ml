@@ -10,43 +10,57 @@ let with_temp_file f =
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
-(* Rebuild a Database_ledger from a WAL file plus surviving system-table
-   rows, then check the queue and counters. *)
+(* Recover from the WAL alone, as a restart does (paper §3.3.2's analysis
+   phase): replay rebuilds the queue from the COMMIT records logged after
+   the last checkpoint. *)
+let replay path =
+  match Wal_replay.replay_file ~wal_path:path () with
+  | Ok db -> db
+  | Error e -> Alcotest.fail e
+
+let check_entry_hashes expected actual =
+  Alcotest.(check int) "entries rebuilt" (List.length expected)
+    (List.length actual);
+  (* Entry contents survive byte-for-byte, in (block, ordinal) order. *)
+  List.iter2
+    (fun a b ->
+      Alcotest.(check string) "entry hash"
+        (Ledger_crypto.Hex.encode (Database_ledger.entry_hash a))
+        (Ledger_crypto.Hex.encode (Database_ledger.entry_hash b)))
+    expected actual
+
+let highest_logged_txn path =
+  match Aries.Wal.load path with
+  | Error e -> Alcotest.fail e
+  | Ok records ->
+      List.fold_left
+        (fun acc (_, record) ->
+          match record with
+          | Aries.Log_record.Begin { txn_id }
+          | Aries.Log_record.Abort { txn_id }
+          | Aries.Log_record.Prepare { txn_id; _ } ->
+              max acc txn_id
+          | Aries.Log_record.Commit c -> max acc c.txn_id
+          | _ -> acc)
+        0 records
+
 let test_queue_reconstruction_no_checkpoint () =
   with_temp_file (fun path ->
       let db = make_db ~block_size:100 ~wal_path:path "crash1" in
       let accounts = make_accounts db in
       figure2 db accounts;
       let dbl = Database.ledger db in
-      let queue_before = Database_ledger.queue_length dbl in
-      let entries_before = Database_ledger.entries dbl in
-      (* Crash: no checkpoint ever ran; system tables are empty. *)
-      match Aries.Recovery.analyze_file path with
-      | Error e -> Alcotest.fail e
-      | Ok analysis ->
-          let recovered =
-            Database_ledger.recover ~block_size:100
-              ~database_id:(Database.database_id db)
-              ~db_create_time:(Database.create_time db) ~analysis ~flushed:[]
-              ~blocks:[] ()
-          in
-          Alcotest.(check int) "queue rebuilt" queue_before
-            (Database_ledger.queue_length recovered);
-          Alcotest.(check int) "entries rebuilt"
-            (List.length entries_before)
-            (List.length (Database_ledger.entries recovered));
-          (* Entry contents survive byte-for-byte (hashes equal). *)
-          List.iter2
-            (fun a b ->
-              Alcotest.(check string) "entry hash"
-                (Ledger_crypto.Hex.encode (Database_ledger.entry_hash a))
-                (Ledger_crypto.Hex.encode (Database_ledger.entry_hash b)))
-            entries_before
-            (Database_ledger.entries recovered);
-          (* Transaction ids continue after the highest logged one. *)
-          let next = Database_ledger.next_txn_id recovered in
-          Alcotest.(check bool) "txn id allocator restarts" true
-            (next > analysis.Aries.Recovery.highest_txn_id))
+      (* Crash: no checkpoint ever ran, so every entry is still queued. *)
+      let recovered = Database.ledger (replay path) in
+      Alcotest.(check int) "queue rebuilt"
+        (Database_ledger.queue_length dbl)
+        (Database_ledger.queue_length recovered);
+      check_entry_hashes (Database_ledger.entries dbl)
+        (Database_ledger.entries recovered);
+      (* Transaction ids continue after the highest logged one. *)
+      let next = Database_ledger.next_txn_id recovered in
+      Alcotest.(check bool) "txn id allocator restarts" true
+        (next > highest_logged_txn path))
 
 let test_queue_reconstruction_with_checkpoint () =
   with_temp_file (fun path ->
@@ -57,58 +71,33 @@ let test_queue_reconstruction_with_checkpoint () =
       Database.checkpoint db;
       ignore (insert_account db accounts "C" 3);
       let dbl = Database.ledger db in
-      let flushed = Database_ledger.raw_transactions_table dbl in
-      let flushed_rows = Storage.Table_store.scan flushed in
-      match Aries.Recovery.analyze_file path with
-      | Error e -> Alcotest.fail e
-      | Ok analysis ->
-          (* Only the post-checkpoint commit is pending. *)
-          Alcotest.(check int) "one pending" 1
-            (List.length analysis.Aries.Recovery.pending_commits);
-          let recovered =
-            Database_ledger.recover ~block_size:100
-              ~database_id:(Database.database_id db)
-              ~db_create_time:(Database.create_time db) ~analysis
-              ~flushed:flushed_rows ~blocks:[] ()
-          in
-          Alcotest.(check int) "entries = flushed + pending"
-            (List.length (Database_ledger.entries dbl))
-            (List.length (Database_ledger.entries recovered)))
+      let recovered = Database.ledger (replay path) in
+      (* Only the post-checkpoint commit is queued; the checkpoint flushed
+         the rest into the transactions table. *)
+      Alcotest.(check int) "one queued" 1
+        (Database_ledger.queue_length recovered);
+      check_entry_hashes (Database_ledger.entries dbl)
+        (Database_ledger.entries recovered))
 
 let test_full_database_recovery_verifies () =
-  (* Simulate §3.3.2 end to end: data pages survive (backup), the queue is
-     rebuilt from the log, and verification then passes against an old
-     digest. *)
+  (* §3.3.2 end to end: the database is rebuilt from the log, its queue
+     included, and verification then passes against an old digest. *)
   with_temp_file (fun path ->
       let db = make_db ~block_size:3 ~wal_path:path "crash3" in
       let accounts = make_accounts db in
       figure2 db accounts;
       let d = fresh_digest db in
       ignore (insert_account db accounts "PostDigest" 1);
-      (* Crash now. Recovery keeps the tables (simulating flushed data
-         pages) and rebuilds the in-memory ledger state. *)
-      Alcotest.(check bool) "something queued" true
-        (Database_ledger.queue_length (Database.ledger db) > 0);
-      match Aries.Recovery.analyze_file path with
-      | Error e -> Alcotest.fail e
-      | Ok analysis ->
-          Alcotest.(check bool) "pending commits found" true
-            (analysis.Aries.Recovery.pending_commits <> []);
-          (* No checkpoint ever ran, so every committed transaction is
-             pending, and each must exist among the ledger's entries. *)
-          let all_ids =
-            List.map
-              (fun (e : Types.txn_entry) -> e.txn_id)
-              (Database_ledger.entries (Database.ledger db))
-          in
-          List.iter
-            (fun (c : Aries.Log_record.commit_info) ->
-              Alcotest.(check bool)
-                (Printf.sprintf "txn %d recovered" c.txn_id)
-                true
-                (List.mem c.txn_id all_ids))
-            analysis.Aries.Recovery.pending_commits;
-          Alcotest.(check bool) "verifies" true (verify_ok db [ d ]))
+      (* Crash now, with commits still queued. *)
+      let queued = Database_ledger.queue_length (Database.ledger db) in
+      Alcotest.(check bool) "something queued" true (queued > 0);
+      let recovered = replay path in
+      Alcotest.(check int) "queue rebuilt" queued
+        (Database_ledger.queue_length (Database.ledger recovered));
+      check_entry_hashes
+        (Database_ledger.entries (Database.ledger db))
+        (Database_ledger.entries (Database.ledger recovered));
+      Alcotest.(check bool) "verifies" true (verify_ok recovered [ d ]))
 
 let test_backup_restore_isolation () =
   let db = make_db "restore1" in

@@ -58,9 +58,8 @@ let test_tail_cursor () =
   @@ fun () ->
   let w = Aries.Wal.create ~path () in
   for i = 1 to 5 do
-    ignore (Aries.Wal.append w (LR.Begin { txn_id = i }) : int)
+    ignore (Aries.Wal.append_batch w [ LR.Begin { txn_id = i } ] : int list)
   done;
-  Aries.Wal.sync w;
   let c = Aries.Wal.Tail.create path in
   (match Aries.Wal.Tail.poll c with
   | Ok records ->
@@ -74,9 +73,8 @@ let test_tail_cursor () =
   | Ok _ -> Alcotest.fail "second poll must be empty"
   | Error e -> Alcotest.fail e);
   for i = 6 to 8 do
-    ignore (Aries.Wal.append w (LR.Begin { txn_id = i }) : int)
+    ignore (Aries.Wal.append_batch w [ LR.Begin { txn_id = i } ] : int list)
   done;
-  Aries.Wal.sync w;
   (match Aries.Wal.Tail.poll c with
   | Ok records ->
       Alcotest.(check (list int)) "only the new tail" [ 6; 7; 8 ]
@@ -117,9 +115,8 @@ let test_tail_resume_after () =
   @@ fun () ->
   let w = Aries.Wal.create ~path () in
   for i = 1 to 6 do
-    ignore (Aries.Wal.append w (LR.Begin { txn_id = i }) : int)
+    ignore (Aries.Wal.append_batch w [ LR.Begin { txn_id = i } ] : int list)
   done;
-  Aries.Wal.sync w;
   Aries.Wal.close w;
   let c = Aries.Wal.Tail.create ~after:4 path in
   match Aries.Wal.Tail.poll c with

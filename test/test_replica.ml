@@ -156,6 +156,34 @@ let prop_any_crash_prefix_recovers =
               | Ok db' -> Verifier.ok (Verifier.verify db' ~digests:[]))
           | _ -> true (* prefix too short to contain the header *)))
 
+(* The replica applies a shipped CHECKPOINT (it flushes its queue) but
+   never logs one: its database's own log holds nothing the primary's
+   does not. *)
+let test_replica_never_logs () =
+  let primary = make_db "primary" in
+  let accounts = make_accounts primary in
+  figure2 primary accounts;
+  Database.checkpoint primary;
+  ignore (insert_account primary accounts "Late" 7);
+  let records = Aries.Wal.records (Database_ledger.wal (Database.ledger primary)) in
+  let checkpoints records =
+    List.filter_map
+      (function lsn, Aries.Log_record.Checkpoint _ -> Some lsn | _ -> None)
+      records
+  in
+  Alcotest.(check bool) "the primary logged a checkpoint" true
+    (checkpoints records <> []);
+  let replica = Replica.create ~clock:(make_clock ()) () in
+  (match Replica.feed replica records with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let rdb = Option.get (Replica.database replica) in
+  Alcotest.(check int) "the checkpoint flushed the replica's queue too"
+    (Database_ledger.queue_length (Database.ledger primary))
+    (Database_ledger.queue_length (Database.ledger rdb));
+  Alcotest.(check (list int)) "no checkpoint in the replica's own log" []
+    (checkpoints (Aries.Wal.records (Database_ledger.wal (Database.ledger rdb))))
+
 let () =
   Alcotest.run "replica"
     [
@@ -166,6 +194,7 @@ let () =
           Alcotest.test_case "replication gate" `Quick test_replication_gate_with_real_replica;
           Alcotest.test_case "failover promotion" `Quick test_failover_promotion;
           Alcotest.test_case "promote before feed" `Quick test_promote_before_feed;
+          Alcotest.test_case "a replica never logs" `Quick test_replica_never_logs;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_any_crash_prefix_recovers ] );

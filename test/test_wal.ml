@@ -1,5 +1,5 @@
-(* WAL records, file persistence with torn tails, and the analysis phase of
-   recovery (§3.3.2). *)
+(* WAL records, and the log file: batch frames, torn tails, corruption and
+   the broken-log rule. *)
 
 module LR = Aries.Log_record
 
@@ -38,11 +38,17 @@ let test_record_rejects_garbage () =
       | Ok _ -> Alcotest.failf "accepted %s" line)
     [ "not json"; "{}"; {|{"type":"explode"}|}; {|{"type":"commit"}|} ]
 
+(* One record as a one-record batch, the WAL's only write; returns its LSN. *)
+let append1 w record =
+  match Aries.Wal.append_batch w [ record ] with
+  | [ lsn ] -> lsn
+  | _ -> Alcotest.fail "a one-record batch must get one LSN"
+
 let test_wal_lsns_and_records () =
   let w = Aries.Wal.create () in
   Alcotest.(check int) "empty lsn" 0 (Aries.Wal.last_lsn w);
-  let l1 = Aries.Wal.append w (LR.Begin { txn_id = 1 }) in
-  let l2 = Aries.Wal.append w (LR.Commit (sample_commit 1 0 0)) in
+  let l1 = append1 w (LR.Begin { txn_id = 1 }) in
+  let l2 = append1 w (LR.Commit (sample_commit 1 0 0)) in
   Alcotest.(check int) "lsn 1" 1 l1;
   Alcotest.(check int) "lsn 2" 2 l2;
   Alcotest.(check int) "records" 2 (List.length (Aries.Wal.records w));
@@ -56,8 +62,8 @@ let with_temp_file f =
 let test_wal_file_persistence () =
   with_temp_file (fun path ->
       let w = Aries.Wal.create ~path () in
-      ignore (Aries.Wal.append w (LR.Begin { txn_id = 1 }));
-      ignore (Aries.Wal.append w (LR.Commit (sample_commit 1 0 0)));
+      ignore (append1 w (LR.Begin { txn_id = 1 }));
+      ignore (append1 w (LR.Commit (sample_commit 1 0 0)));
       Aries.Wal.close w;
       match Aries.Wal.load path with
       | Ok records -> Alcotest.(check int) "loaded" 2 (List.length records)
@@ -66,8 +72,8 @@ let test_wal_file_persistence () =
 let test_wal_torn_tail () =
   with_temp_file (fun path ->
       let w = Aries.Wal.create ~path () in
-      ignore (Aries.Wal.append w (LR.Begin { txn_id = 1 }));
-      ignore (Aries.Wal.append w (LR.Commit (sample_commit 1 0 0)));
+      ignore (append1 w (LR.Begin { txn_id = 1 }));
+      ignore (append1 w (LR.Commit (sample_commit 1 0 0)));
       Aries.Wal.close w;
       (* Simulate a crash mid-write: append half a record. *)
       let oc = open_out_gen [ Open_append ] 0o644 path in
@@ -88,10 +94,16 @@ let test_wal_mid_corruption_detected () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "mid-log corruption must not be silently skipped")
 
-(* Frame a payload the way Wal.append does: "#crc len lsn payload". *)
+(* A one-record frame as older logs hold it: "#crc len lsn payload". *)
 let frame lsn payload =
   let body = Printf.sprintf "%d %s" lsn payload in
   Printf.sprintf "#%08lx %d %s" (Fault.Crc32.string body) (String.length body)
+    body
+
+(* A one-record batch frame: "@crc len lsn 1 plen payload". *)
+let batch_frame lsn payload =
+  let body = Printf.sprintf "%d 1 %d %s" lsn (String.length payload) payload in
+  Printf.sprintf "@%08lx %d %s" (Fault.Crc32.string body) (String.length body)
     body
 
 let write_lines path lines =
@@ -101,8 +113,8 @@ let write_lines path lines =
 let test_wal_frames_on_disk () =
   with_temp_file (fun path ->
       let w = Aries.Wal.create ~path () in
-      ignore (Aries.Wal.append w (LR.Begin { txn_id = 1 }));
-      ignore (Aries.Wal.append w (LR.Commit (sample_commit 1 0 0)));
+      ignore (append1 w (LR.Begin { txn_id = 1 }));
+      ignore (append1 w (LR.Commit (sample_commit 1 0 0)));
       Aries.Wal.close w;
       let lines =
         In_channel.with_open_bin path In_channel.input_all
@@ -113,7 +125,7 @@ let test_wal_frames_on_disk () =
         (fun i line ->
           Alcotest.(check string)
             (Printf.sprintf "record %d framed" (i + 1))
-            (frame (i + 1) (LR.to_line (List.nth [ LR.Begin { txn_id = 1 };
+            (batch_frame (i + 1) (LR.to_line (List.nth [ LR.Begin { txn_id = 1 };
                                                    LR.Commit (sample_commit 1 0 0) ] i)))
             line)
         lines)
@@ -121,12 +133,12 @@ let test_wal_frames_on_disk () =
 let test_wal_framed_torn_tail () =
   with_temp_file (fun path ->
       let w = Aries.Wal.create ~path () in
-      ignore (Aries.Wal.append w (LR.Begin { txn_id = 1 }));
-      ignore (Aries.Wal.append w (LR.Commit (sample_commit 1 0 0)));
+      ignore (append1 w (LR.Begin { txn_id = 1 }));
+      ignore (append1 w (LR.Commit (sample_commit 1 0 0)));
       Aries.Wal.close w;
       let full = In_channel.with_open_bin path In_channel.input_all in
       (* Tear the last record at every byte boundary: always recoverable. *)
-      let second_starts = String.index_from full 1 '#' in
+      let second_starts = String.index_from full 1 '@' in
       for cut = second_starts + 1 to String.length full - 2 do
         Out_channel.with_open_bin path (fun oc ->
             Out_channel.output_string oc (String.sub full 0 cut));
@@ -144,9 +156,9 @@ let test_wal_bitflip_is_corruption_not_torn () =
      the last good LSN in the message. *)
   with_temp_file (fun path ->
       let w = Aries.Wal.create ~path () in
-      ignore (Aries.Wal.append w (LR.Begin { txn_id = 1 }));
-      ignore (Aries.Wal.append w (LR.Begin { txn_id = 2 }));
-      ignore (Aries.Wal.append w (LR.Commit (sample_commit 2 0 0)));
+      ignore (append1 w (LR.Begin { txn_id = 1 }));
+      ignore (append1 w (LR.Begin { txn_id = 2 }));
+      ignore (append1 w (LR.Commit (sample_commit 2 0 0)));
       Aries.Wal.close w;
       let full = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
       (* Flip one payload byte in the middle record. *)
@@ -186,10 +198,10 @@ let test_wal_first_lsn_and_advance () =
       let w = Aries.Wal.create ~path ~first_lsn:41 () in
       Alcotest.(check int) "empty log last_lsn" 40 (Aries.Wal.last_lsn w);
       Alcotest.(check int) "first append" 41
-        (Aries.Wal.append w (LR.Begin { txn_id = 1 }));
+        (append1 w (LR.Begin { txn_id = 1 }));
       Aries.Wal.advance_to w 100;
       Alcotest.(check int) "post-advance append" 101
-        (Aries.Wal.append w (LR.Begin { txn_id = 2 }));
+        (append1 w (LR.Begin { txn_id = 2 }));
       Aries.Wal.advance_to w 7;
       Alcotest.(check int) "advance never regresses" 101 (Aries.Wal.last_lsn w);
       Aries.Wal.close w;
@@ -200,8 +212,8 @@ let test_wal_first_lsn_and_advance () =
             [ 41; 101 ] (List.map fst records))
 
 (* The fsyncgate rule: the first failed write breaks the log, every later
-   append, batch or sync re-raises that same exception, and nothing after
-   the failure reaches the file or the in-memory record list. *)
+   batch re-raises that same exception, and nothing after the failure
+   reaches the file or the in-memory record list. *)
 let test_wal_broken_by_failed_write () =
   with_temp_file (fun path ->
       let w = Aries.Wal.create ~path () in
@@ -226,10 +238,9 @@ let test_wal_broken_by_failed_write () =
               Alcotest.(check bool) (what ^ " re-raises the first failure")
                 true (e == first))
         [
-          ( "append",
-            fun () -> ignore (Aries.Wal.append w (LR.Begin { txn_id = 3 })) );
+          ( "batch",
+            fun () -> ignore (Aries.Wal.append_batch w [ LR.Begin { txn_id = 3 } ]) );
           ("empty batch", fun () -> ignore (Aries.Wal.append_batch w []));
-          ("sync", fun () -> Aries.Wal.sync w);
         ];
       Alcotest.(check int) "in memory: the record before the failure" 1
         (List.length (Aries.Wal.records w));
@@ -240,57 +251,30 @@ let test_wal_broken_by_failed_write () =
           Alcotest.(check (list int)) "on disk: the record before the failure"
             [ 1 ] (List.map fst records))
 
-let test_analysis_no_checkpoint () =
-  let entries =
-    [
-      (1, LR.Begin { txn_id = 1 });
-      (2, LR.Commit (sample_commit 1 0 0));
-      (3, LR.Begin { txn_id = 2 });
-      (4, LR.Commit (sample_commit 2 0 1));
-    ]
+(* A real fsync failure, not an injected one: on Linux, fsync of
+   /dev/null fails with EINVAL. The batch is refused rather than
+   acknowledged, and the log stays broken. *)
+let test_wal_broken_by_failed_fsync () =
+  let w = Aries.Wal.create ~path:"/dev/null" () in
+  let first =
+    match Aries.Wal.append_batch w [ LR.Begin { txn_id = 1 } ] with
+    | _ -> Alcotest.fail "a batch whose fsync failed was acknowledged"
+    | exception e -> e
   in
-  let a = Aries.Recovery.analyze entries in
-  Alcotest.(check int) "all commits pending" 2 (List.length a.pending_commits);
-  Alcotest.(check int) "highest txn" 2 a.highest_txn_id;
-  Alcotest.(check bool) "no checkpoint" true (a.last_checkpoint_lsn = None)
-
-let test_analysis_with_checkpoint () =
-  let entries =
-    [
-      (1, LR.Commit (sample_commit 1 0 0));
-      (2, LR.Commit (sample_commit 2 0 1));
-      (3, LR.Checkpoint { flushed_upto_lsn = 2 });
-      (4, LR.Commit (sample_commit 3 0 2));
-      (5, LR.Begin { txn_id = 4 });
-      (6, LR.Abort { txn_id = 4 });
-    ]
-  in
-  let a = Aries.Recovery.analyze entries in
-  Alcotest.(check int) "only post-checkpoint commits" 1
-    (List.length a.pending_commits);
-  Alcotest.(check int) "pending is txn 3" 3
-    (List.hd a.pending_commits).LR.txn_id;
-  Alcotest.(check int) "highest txn includes aborted" 4 a.highest_txn_id;
-  Alcotest.(check bool) "checkpoint lsn" true (a.last_checkpoint_lsn = Some 3)
-
-let test_analysis_aborted_not_pending () =
-  let entries =
-    [ (1, LR.Begin { txn_id = 1 }); (2, LR.Abort { txn_id = 1 }) ]
-  in
-  let a = Aries.Recovery.analyze entries in
-  Alcotest.(check int) "no pending" 0 (List.length a.pending_commits)
-
-let test_analysis_ordering () =
-  let entries =
-    [
-      (1, LR.Commit (sample_commit 5 1 0));
-      (2, LR.Commit (sample_commit 3 1 1));
-      (3, LR.Commit (sample_commit 9 1 2));
-    ]
-  in
-  let a = Aries.Recovery.analyze entries in
-  Alcotest.(check (list int)) "LSN order preserved" [ 5; 3; 9 ]
-    (List.map (fun (c : LR.commit_info) -> c.txn_id) a.pending_commits)
+  (match first with
+  | Unix.Unix_error (_, "fsync", _) -> ()
+  | e -> Alcotest.failf "expected the fsync's error, got %s" (Printexc.to_string e));
+  (match Aries.Wal.broken w with
+  | Some e ->
+      Alcotest.(check bool) "the log records the fsync failure" true (e == first)
+  | None -> Alcotest.fail "a failed fsync left the log healthy");
+  (match Aries.Wal.append_batch w [ LR.Begin { txn_id = 2 } ] with
+  | _ -> Alcotest.fail "a broken log accepted a batch"
+  | exception e ->
+      Alcotest.(check bool) "the next batch re-raises it" true (e == first));
+  Alcotest.(check int) "nothing acknowledged" 0
+    (List.length (Aries.Wal.records w));
+  Aries.Wal.close w
 
 let () =
   Alcotest.run "wal"
@@ -315,14 +299,9 @@ let () =
             test_wal_nonmonotonic_lsn_is_corruption;
           Alcotest.test_case "failed write breaks the log" `Quick
             test_wal_broken_by_failed_write;
+          Alcotest.test_case "failed fsync breaks the log" `Quick
+            test_wal_broken_by_failed_fsync;
           Alcotest.test_case "first_lsn / advance_to" `Quick
             test_wal_first_lsn_and_advance;
-        ] );
-      ( "analysis",
-        [
-          Alcotest.test_case "no checkpoint" `Quick test_analysis_no_checkpoint;
-          Alcotest.test_case "with checkpoint" `Quick test_analysis_with_checkpoint;
-          Alcotest.test_case "aborted not pending" `Quick test_analysis_aborted_not_pending;
-          Alcotest.test_case "ordering" `Quick test_analysis_ordering;
         ] );
     ]
